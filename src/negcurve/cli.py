@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .extensions import ExtClass, ModuliParams, reduce_cocycle, restrict_level
 from .groupoid import (GroupElem, act, induced_inverse, induced_product,
                        verify_groupoid)
 from .homspaces import brute_force_hom, hom_ext_dims, isom_decide
-from .ring import ConsistencyError, RingElem, RingParams, elem_from_dict, elem_to_dict
+from .ring import ConsistencyError, RingParams, _as_fraction, elem_from_dict, elem_to_dict
 from .sections import cone_check, h0_basis, h1_dim
 
 
@@ -30,23 +29,17 @@ def _dump(obj, stream) -> None:
     stream.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _parse_rational(value) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ValueError(f"coefficients must be exact (int or 'n/d'), got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise ValueError(f"cannot parse rational from {value!r}")
-
-
-def _moduli_params(args) -> ModuliParams:
+def _ring_params(args) -> RingParams:
     if args.m is None and args.level is None:
         raise ValueError("one of --m or --level is required")
     if args.m is not None and args.level is not None:
         raise ValueError("--m and --level are mutually exclusive")
     m = args.m if args.m is not None else args.level + 1
-    return ModuliParams(RingParams(args.k, m), args.j)
+    return RingParams(args.k, m)
+
+
+def _moduli_params(args) -> ModuliParams:
+    return ModuliParams(_ring_params(args), args.j)
 
 
 def _load_payload(args) -> dict:
@@ -64,7 +57,7 @@ def _load_payload(args) -> dict:
 def _ext_class(data, params: ModuliParams) -> ExtClass:
     """Accept either the full envelope or a coefficient vector in basis order."""
     if isinstance(data, list):
-        return ExtClass.from_vector(params, [_parse_rational(v) for v in data])
+        return ExtClass.from_vector(params, [_as_fraction(v) for v in data])
     if isinstance(data, dict):
         cls = ExtClass.from_dict(data)
         if cls.params != params:
@@ -180,15 +173,15 @@ def _cmd_check_axioms(args, out):
 
 
 def _cmd_cohomology(args, out):
-    params = RingParams(args.k, args.m if args.m is not None else args.level + 1)
+    params = _ring_params(args)
     basis = h0_basis(args.s, params)
     _dump({"s": args.s, "h0_dim": len(basis), "h0_basis": [[l, i] for (l, i) in basis],
            "h1_dim": h1_dim(args.s, params)}, out)
 
 
 def _cmd_cone_check(args, out):
-    m = args.m if args.m is not None else args.level + 1
-    _dump(cone_check(args.k, m), out)
+    params = _ring_params(args)
+    _dump(cone_check(params.k, params.m), out)
 
 
 def _cmd_restrict(args, out):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import RingElem, RingParams, sector_split, truncate
+from .ring import RingElem, RingParams, elem_from_dict, elem_to_dict, sector_split, truncate
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class ModuliParams:
     j: int
 
     def __post_init__(self):
-        if not isinstance(self.j, int) or self.j < 1:
+        if type(self.j) is not int or self.j < 1:
             raise ValueError("j must be a positive integer")
 
     @property
@@ -66,10 +66,6 @@ def class_is_zero(y: RingElem, params: ModuliParams) -> bool:
     return not any(params.in_band(l, i) for (l, i) in y.terms)
 
 
-def banded_part(y: RingElem, params: ModuliParams) -> RingElem:
-    return y.select(lambda l, i: params.in_band(l, i))
-
-
 class ExtClass:
     """An extension class in normal form: support inside the band, i >= 1."""
 
@@ -108,44 +104,22 @@ class ExtClass:
     def __eq__(self, other):
         return isinstance(other, ExtClass) and self.params == other.params and self.p == other.p
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __repr__(self):
         return f"ExtClass(j={self.params.j}, p={self.p!r})"
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.params.k,
-            "m": self.params.m,
-            "j": self.params.j,
-            "terms": [
-                {"i": i, "l": l, "num": c.numerator, "den": c.denominator}
-                for l, i, c in self.p.canonical_terms()
-            ],
-        }
+        data = elem_to_dict(self.p)
+        data["j"] = self.params.j
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExtClass":
-        extra = set(data) - {"k", "m", "j", "terms"}
-        if extra:
-            raise ValueError(f"unknown fields: {sorted(extra)}")
-        try:
-            params = ModuliParams(RingParams(data["k"], data["m"]), data["j"])
-            terms = {}
-            for t in data["terms"]:
-                t_extra = set(t) - {"l", "i", "num", "den"}
-                if t_extra:
-                    raise ValueError(f"unknown fields: {sorted(t_extra)}")
-                if not isinstance(t["num"], int) or not isinstance(t["den"], int):
-                    raise ValueError("coefficients must be exact integers num/den")
-                key = (t["l"], t["i"])
-                if key in terms:
-                    raise ValueError(f"duplicate term {key}")
-                terms[key] = Fraction(t["num"], t["den"])
-        except KeyError as exc:
-            raise ValueError(f"missing field {exc}") from exc
-        return cls(params, RingElem(params.ring, terms))
+        if not isinstance(data, dict):
+            raise ValueError("extension class must be a JSON object")
+        if "j" not in data:
+            raise ValueError("missing field 'j'")
+        rep = elem_from_dict({key: v for key, v in data.items() if key != "j"})
+        return cls(ModuliParams(rep.params, data["j"]), rep)
 
 
 def reduce_cocycle(y: RingElem, params: ModuliParams) -> tuple[ExtClass, RingElem, RingElem]:
@@ -199,9 +173,6 @@ class Mat2:
             and self.a21 == other.a21
             and self.a22 == other.a22
         )
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def entries(self) -> tuple[RingElem, RingElem, RingElem, RingElem]:
         return (self.a11, self.a12, self.a21, self.a22)

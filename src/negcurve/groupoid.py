@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .extensions import ExtClass, Mat2, ModuliParams, TransitionMatrix, basis_W
-from .ring import ConsistencyError, RingElem, invert_unit, plus_part, sector_split, truncate
+from .ring import ConsistencyError, RingElem, plus_part, sector_split, truncate
 from .sections import TwistedSection, h0_basis
 
 
@@ -32,8 +32,8 @@ class GroupElem:
 
     a and d are global functions, c a section of O(2j), b a section of
     O(-2j) stored by its first-chart representative.  Invertibility is
-    certified by det0 = a(0,0) * d(0,0) != 0, the determinant restricted
-    to the zero section (b vanishes there for j >= 1).
+    certified by a(0,0) * d(0,0) != 0, the determinant restricted to the
+    zero section (b vanishes there for j >= 1).
     """
 
     __slots__ = ("params", "a", "b", "c", "d")
@@ -76,9 +76,6 @@ class GroupElem:
         return cls.from_reps(params, RingElem.constant(ring, lam), RingElem.zero(ring),
                              RingElem.zero(ring), RingElem.constant(ring, mu))
 
-    def det0(self) -> Fraction:
-        return self.a.rep.coeff(0, 0) * self.d.rep.coeff(0, 0)
-
     def is_identity(self) -> bool:
         one = RingElem.one(self.params.ring)
         return (self.a.rep == one and self.d.rep == one
@@ -104,9 +101,6 @@ class GroupElem:
         return (isinstance(other, GroupElem) and self.params == other.params
                 and self.a == other.a and self.b == other.b
                 and self.c == other.c and self.d == other.d)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __repr__(self):
         return (f"GroupElem(a={self.a.rep!r}, b={self.b.rep!r}, "
@@ -142,12 +136,8 @@ class CocyclePair:
 
     def inverse(self) -> "CocyclePair":
         # det B = det A since the transition matrices have determinant 1,
-        # so one unit inversion serves both adjugates.
-        inv_det = invert_unit(self.A.det())
-        a, b = self.A, self.B
-        ainv = Mat2(a.a22 * inv_det, (-a.a12) * inv_det, (-a.a21) * inv_det, a.a11 * inv_det)
-        binv = Mat2(b.a22 * inv_det, (-b.a12) * inv_det, (-b.a21) * inv_det, b.a11 * inv_det)
-        return CocyclePair(self.params, ainv, binv)
+        # so B is invertible whenever A is.
+        return CocyclePair(self.params, self.A.inverse(), self.B.inverse())
 
     def intertwines(self, p: ExtClass, p_target: ExtClass) -> bool:
         lhs = self.B * TransitionMatrix(self.params, p).matrix()
@@ -158,12 +148,16 @@ class CocyclePair:
         return (all(e.is_u_regular() for e in self.A.entries())
                 and all(e.is_v_regular() for e in self.B.entries()))
 
-    def det0(self) -> Fraction:
-        det = self.A.det()
-        lay0 = det.layer(0)
-        if set(lay0) <= {0}:
-            return lay0.get(0, Fraction(0))
-        return Fraction(0)
+
+def cech_parts(c: RingElem, x: RingElem, j: int) -> tuple[RingElem, RingElem]:
+    """The canonical Cech split of z^-j * c * x into (plus, v).
+
+    plus keeps the monomials with l > k*i, which are not regular on the
+    second chart, and v the rest, so z^-j * c * x = plus + v.  Every Cech
+    correction of the gluing matrices is one of these two parts.
+    """
+    y = (c * x).shift(-j)
+    return plus_part(y), y.v_regular_part()
 
 
 def act(g: GroupElem, p: ExtClass) -> ExtClass:
@@ -183,7 +177,7 @@ def act(g: GroupElem, p: ExtClass) -> ExtClass:
     i_cap = params.i_cap()
     a_rep, d_rep, c_rep = g.a.rep, g.d.rep, g.c.rep
     d00 = d_rep.coeff(0, 0)
-    g_plus = plus_part((c_rep * p.p).shift(-j))
+    g_plus, _ = cech_parts(c_rep, p.p, j)
     residual = a_rep * p.p
     sol_terms: dict[tuple[int, int], Fraction] = {}
     for i in range(1, i_cap + 1):
@@ -197,7 +191,7 @@ def act(g: GroupElem, p: ExtClass) -> ExtClass:
         delta = RingElem._raw(ring, layer_terms)
         sol_terms.update(layer_terms)
         # Knock out this layer's band and propagate to higher u-orders.
-        f_delta = (delta * c_rep).shift(-j).v_regular_part()
+        _, f_delta = cech_parts(c_rep, delta, j)
         residual = residual - d_rep * delta - g_plus * delta + f_delta * p.p
     return ExtClass(params, RingElem(ring, sol_terms))
 
@@ -208,15 +202,12 @@ def _build_pair(g: GroupElem, p: ExtClass, target: ExtClass, check: bool) -> Coc
     j = params.j
     a_rep, b_rep, c_rep, d_rep = g.a.rep, g.b.rep, g.c.rep, g.d.rep
 
-    f = (target.p * c_rep).shift(-j)
-    f_plus = plus_part(f)
+    f_plus, f_v = cech_parts(c_rep, target.p, j)
+    g_plus, g_v = cech_parts(c_rep, p.p, j)
     a11 = a_rep - f_plus
-    b11 = a11 + f
-
-    gg = (c_rep * p.p).shift(-j)
-    g_plus = plus_part(gg)
+    b11 = a_rep + f_v
     a22 = d_rep + g_plus
-    b22 = a22 - gg
+    b22 = d_rep - g_v
 
     r = b11 * p.p - target.p * a22
     split = sector_split(r, j)
@@ -266,12 +257,12 @@ def extract_group_elem(pair: CocyclePair, p: ExtClass, p_target: ExtClass) -> Gr
     except ValueError as exc:
         raise ValueError("not a normalized cocycle pair") from exc
 
-    f_plus = plus_part((p_target.p * c_rep).shift(-j))
+    f_plus, _ = cech_parts(c_rep, p_target.p, j)
     a_rep = _global_part(A.a11)
     if A.a11 - a_rep != -f_plus:
         raise ValueError("not a normalized cocycle pair")
 
-    g_plus = plus_part((c_rep * p.p).shift(-j))
+    g_plus, _ = cech_parts(c_rep, p.p, j)
     d_rep = _global_part(A.a22)
     if A.a22 - d_rep != g_plus:
         raise ValueError("not a normalized cocycle pair")

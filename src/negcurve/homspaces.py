@@ -7,10 +7,15 @@ obstruction
     a*p - d*p' + (z^-j p' c)_V * p - (z^-j c p)_+ * p',
 
 where (.)_V keeps the second-chart-regular monomials and (.)_+ the
-rest.  The obstruction is linear in (a, d, c), so the decision is an
-exact nullspace computation.  The same two differentials organize
-Hom(E_p, E_p') by a two-step filtration, and an independent brute-force
-solver for intertwining matrix pairs cross-checks every dimension.
+rest.  On the band the obstruction is minus [d1 | d2] applied to the
+coefficients of (a, d, c), where d1(a, d) is the class of d*p' - a*p and
+d2(c) that of (z^-j c p)_+ p' - (z^-j c p')_V p.  ``build_linear_system``
+builds these columns once.  The isomorphism decision is an exact
+nullspace computation on them, and Hom(E_p, E_p') is counted by a
+two-step filtration: ker d1, then the c whose d2-image lies in the image
+of d1, of codimension rank [d1 | d2] - rank d1.  An independent
+brute-force solver for intertwining matrix pairs cross-checks every
+dimension.
 """
 
 from __future__ import annotations
@@ -19,28 +24,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .extensions import (ExtClass, Mat2, ModuliParams, class_is_zero, ext1_band)
-from .groupoid import CocyclePair, GroupElem, act
-from .ring import ConsistencyError, RingElem, plus_part
+from .extensions import ExtClass, Mat2, ModuliParams, class_is_zero, ext1_band
+from .groupoid import CocyclePair, GroupElem, act, cech_parts
+from .ring import ConsistencyError, RingElem
 from .sections import h0_basis, h0_dim, h1_dim
 
 
-def _c_differential(c_mono: tuple[int, int], p: ExtClass, p_target: ExtClass,
-                    j: int) -> RingElem:
-    """The band contribution of a unit c-monomial: (z^-j c p)_+ p' - (z^-j c p')_V p."""
-    l, i = c_mono
-    g_plus = plus_part(p.p.shift(l - j, i))
-    f_v = p_target.p.shift(l - j, i).v_regular_part()
+def _c_differential(c_rep: RingElem, p: ExtClass, p_target: ExtClass) -> RingElem:
+    """The band contribution of c: (z^-j c p)_+ p' - (z^-j c p')_V p."""
+    j = p.params.j
+    g_plus, _ = cech_parts(c_rep, p.p, j)
+    _, f_v = cech_parts(c_rep, p_target.p, j)
     return g_plus * p_target.p - f_v * p.p
 
 
 def obstruction(a_rep: RingElem, d_rep: RingElem, c_rep: RingElem,
                 p: ExtClass, p_target: ExtClass) -> RingElem:
     """The exact gluing obstruction of the datum (a, d, c) from p to p_target."""
-    j = p.params.j
-    f_v = (p_target.p * c_rep).shift(-j).v_regular_part()
-    g_plus = plus_part((c_rep * p.p).shift(-j))
-    return a_rep * p.p - d_rep * p_target.p + f_v * p.p - g_plus * p_target.p
+    return a_rep * p.p - d_rep * p_target.p - _c_differential(c_rep, p, p_target)
 
 
 def witness_condition(g: GroupElem, p: ExtClass, p_target: ExtClass) -> bool:
@@ -57,56 +58,33 @@ def witness_condition(g: GroupElem, p: ExtClass, p_target: ExtClass) -> bool:
     return ok
 
 
-@dataclass(frozen=True)
-class LinearSystem:
-    """The band obstruction as a linear system in the (a, d, c) coefficients.
+def build_linear_system(p: ExtClass, p_target: ExtClass) -> list[dict[int, Fraction]]:
+    """The band columns of [d1 | d2], each a sparse map band row -> coefficient.
 
-    Unknowns are ordered a-basis, then d-basis (both h0_basis(0)), then
-    c-basis (h0_basis(2j)); rows follow ext1_band order.  ``matrix`` is
-    row-major with exact rational entries.
+    Columns follow the unknowns: the a-basis, then the d-basis (both
+    h0_basis(0)), then the c-basis (h0_basis(2j)).  Rows are indices
+    into ext1_band.
     """
-
-    params: ModuliParams
-    unknowns: list[tuple[str, tuple[int, int]]]
-    rows: list[tuple[int, int]]
-    matrix: list[list[Fraction]]
-
-    def sparse_rows(self) -> list[dict]:
-        return [
-            {c: v for c, v in enumerate(row) if v}
-            for row in self.matrix
-        ]
-
-
-def build_linear_system(p: ExtClass, p_target: ExtClass) -> LinearSystem:
+    if p.params != p_target.params:
+        raise ValueError("mismatched moduli parameters")
     params = p.params
-    j = params.j
     ring = params.ring
-    basis0 = h0_basis(0, ring)
-    basis2j = h0_basis(2 * j, ring)
-    unknowns = ([("a", t) for t in basis0] + [("d", t) for t in basis0]
-                + [("c", t) for t in basis2j])
-    band = ext1_band(params)
-    band_index = {li: r for r, li in enumerate(band)}
-    matrix = [[Fraction(0)] * len(unknowns) for _ in band]
+    band_index = {li: r for r, li in enumerate(ext1_band(params))}
 
-    def deposit(col: int, elem: RingElem):
+    def column(elem: RingElem) -> dict[int, Fraction]:
+        col = {}
         for (l, i), coeff in elem.terms.items():
             r = band_index.get((i, l))
             if r is not None:
-                matrix[r][col] = coeff
+                col[r] = coeff
+        return col
 
-    col = 0
-    for (l, i) in basis0:
-        deposit(col, p.p.shift(l, i))
-        col += 1
-    for (l, i) in basis0:
-        deposit(col, p_target.p.shift(l, i).scale(-1))
-        col += 1
-    for mono in basis2j:
-        deposit(col, _c_differential(mono, p, p_target, j).scale(-1))
-        col += 1
-    return LinearSystem(params, unknowns, band, matrix)
+    basis0 = h0_basis(0, ring)
+    cols = [column(-p.p.shift(l, i)) for (l, i) in basis0]
+    cols += [column(p_target.p.shift(l, i)) for (l, i) in basis0]
+    cols += [column(_c_differential(RingElem.monomial(ring, l, i), p, p_target))
+             for (l, i) in h0_basis(2 * params.j, ring)]
+    return cols
 
 
 def isom_decide(p: ExtClass, p_target: ExtClass) -> GroupElem | None:
@@ -119,16 +97,22 @@ def isom_decide(p: ExtClass, p_target: ExtClass) -> GroupElem | None:
     vectors settle it.  A found witness (with b = 0) is verified by
     applying the action before it is returned.
     """
-    if p.params != p_target.params:
-        raise ValueError("mismatched moduli parameters")
+    cols = build_linear_system(p, p_target)
     params = p.params
-    system = build_linear_system(p, p_target)
-    ncols = len(system.unknowns)
-    basis = linalg.nullspace(system.sparse_rows(), ncols)
+    rows: list[dict[int, Fraction]] = [{} for _ in ext1_band(params)]
+    for c, col in enumerate(cols):
+        for r, v in col.items():
+            rows[r][c] = v
+    ncols = len(cols)
+    basis = linalg.nullspace(rows, ncols)
     if not basis:
         return None
-    idx_a = system.unknowns.index(("a", (0, 0)))
-    idx_d = system.unknowns.index(("d", (0, 0)))
+    ring = params.ring
+    basis0 = h0_basis(0, ring)
+    n0 = len(basis0)
+    # h0_basis(0) starts at (0, 0), so a(0,0) and d(0,0) are the first
+    # a- and d-unknowns.
+    idx_a, idx_d = 0, n0
     if all(v[idx_a] == 0 for v in basis) or all(v[idx_d] == 0 for v in basis):
         return None
 
@@ -151,94 +135,26 @@ def isom_decide(p: ExtClass, p_target: ExtClass) -> GroupElem | None:
     if vec is None:
         raise ConsistencyError("no unit-determinant point found on the solution space")
 
-    ring = params.ring
-    a_terms, d_terms, c_terms = {}, {}, {}
-    for (kind, (l, i)), coeff in zip(system.unknowns, vec):
-        if coeff:
-            {"a": a_terms, "d": d_terms, "c": c_terms}[kind][(l, i)] = coeff
-    witness = GroupElem.from_reps(params, RingElem(ring, a_terms), RingElem.zero(ring),
-                                  RingElem(ring, c_terms), RingElem(ring, d_terms))
+    witness = GroupElem.from_reps(
+        params, RingElem(ring, dict(zip(basis0, vec[:n0]))), RingElem.zero(ring),
+        RingElem(ring, dict(zip(h0_basis(2 * params.j, ring), vec[2 * n0:]))),
+        RingElem(ring, dict(zip(basis0, vec[n0:2 * n0]))))
     if act(witness, p) != p_target:
         raise ConsistencyError("isomorphism witness fails to act correctly")
     return witness
 
 
-# -- spectral bookkeeping of Hom dimensions ----------------------------------
+# -- filtration count of Hom dimensions --------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectralDifferentials:
-    """Exact matrices of the two Hom differentials, row-major over ext1_band.
+def spectral_differentials(p: ExtClass, p_target: ExtClass) -> tuple[int, int]:
+    """The ranks of d1 and of d2 modulo the image of d1.
 
-    d1 columns follow the a-basis then the d-basis of global functions;
-    d1(a, d) is the class of d*p' - a*p.  d2 columns follow the c-basis
-    of O(2j)-sections; d2(c) is the class of (z^-j c p)_+ p' - (z^-j c p')_V p.
-    d2_reduced is d2 with each column reduced modulo the column space of
-    d1 against a fixed pivot order, so the result is canonical.
+    The second is the quotient rank rank [d1 | d2] - rank d1.
     """
-
-    params: ModuliParams
-    rows: list[tuple[int, int]]
-    d1: list[list[Fraction]]
-    d2: list[list[Fraction]]
-    d2_reduced: list[list[Fraction]]
-
-    def rank_d1(self) -> int:
-        return linalg.rank(_columns_as_rows(self.d1))
-
-    def rank_d2_reduced(self) -> int:
-        return linalg.rank(_columns_as_rows(self.d2_reduced))
-
-
-def _columns_as_rows(matrix: list[list[Fraction]]) -> list[dict]:
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    out = []
-    for c in range(ncols):
-        row = {r: matrix[r][c] for r in range(len(matrix)) if matrix[r][c]}
-        out.append(row)
-    return out
-
-
-def spectral_differentials(p: ExtClass, p_target: ExtClass) -> SpectralDifferentials:
-    if p.params != p_target.params:
-        raise ValueError("mismatched moduli parameters")
-    params = p.params
-    j = params.j
-    ring = params.ring
-    band = ext1_band(params)
-    band_index = {li: r for r, li in enumerate(band)}
-    basis0 = h0_basis(0, ring)
-    basis2j = h0_basis(2 * j, ring)
-
-    def column(elem: RingElem) -> list[Fraction]:
-        col = [Fraction(0)] * len(band)
-        for (l, i), coeff in elem.terms.items():
-            r = band_index.get((i, l))
-            if r is not None:
-                col[r] = coeff
-        return col
-
-    d1_cols = [column(p.p.shift(l, i).scale(-1)) for (l, i) in basis0]
-    d1_cols += [column(p_target.p.shift(l, i)) for (l, i) in basis0]
-    d2_cols = [column(_c_differential(mono, p, p_target, j)) for mono in basis2j]
-
-    # Reduce d2 columns against an echelon basis of the image of d1.
-    pivots = linalg.echelon([{r: v for r, v in enumerate(col) if v} for col in d1_cols])
-    d2_red_cols = []
-    for col in d2_cols:
-        red = linalg._reduce_row({r: v for r, v in enumerate(col) if v}, pivots)
-        dense = [Fraction(0)] * len(band)
-        for r, v in red.items():
-            dense[r] = v
-        d2_red_cols.append(dense)
-
-    def transpose(cols):
-        return [[cols[c][r] for c in range(len(cols))] for r in range(len(band))]
-
-    return SpectralDifferentials(params, band, transpose(d1_cols), transpose(d2_cols),
-                                 transpose(d2_red_cols))
+    cols = build_linear_system(p, p_target)
+    rank_d1 = linalg.rank(cols[:2 * h0_dim(0, p.params.ring)])
+    return rank_d1, linalg.rank(cols) - rank_d1
 
 
 @dataclass(frozen=True)
@@ -270,17 +186,16 @@ class HomProfile:
 def hom_ext_dims(p: ExtClass, p_target: ExtClass) -> HomProfile:
     """Hom/Ext dimensions via the filtration differentials.
 
-    dim_hom = h0(-2j) + dim ker d1 + dim ker d2, and dim_ext1 closes the
-    four-term exact sequence relating Hom and Ext of the glued bundles
-    to those of the split bundle:
+    dim_hom = h0(-2j) + dim ker d1 + dim ker d2, where d2 is taken modulo
+    the image of d1, so dim ker d2 = h0(2j) - (rank [d1 | d2] - rank d1).
+    dim_ext1 closes the four-term exact sequence relating Hom and Ext of
+    the glued bundles to those of the split bundle:
     dim_hom - dim End(split) + dim Ext^1(split) - dim_ext1 = 0.
     """
     params = p.params
     ring = params.ring
     j = params.j
-    spectral = spectral_differentials(p, p_target)
-    rank_d1 = spectral.rank_d1()
-    rank_d2 = spectral.rank_d2_reduced()
+    rank_d1, rank_d2 = spectral_differentials(p, p_target)
     dim_b = h0_dim(-2 * j, ring)
     dim_ker_d1 = 2 * h0_dim(0, ring) - rank_d1
     dim_ker_d2 = h0_dim(2 * j, ring) - rank_d2

@@ -57,31 +57,3 @@ def nullspace(rows: list[dict], ncols: int) -> list[list[Fraction]]:
         basis.append(vec)
     return basis
 
-
-def solve(rows: list[dict], rhs: list[Fraction], ncols: int) -> list[Fraction] | None:
-    """One solution of rows * x = rhs, or None if inconsistent.
-
-    Appends the right-hand side as an extra column and reads the
-    solution off the echelon form; free variables are set to zero.
-    """
-    aug_col = ncols
-    aug = []
-    for row, b in zip(rows, rhs):
-        r = dict(row)
-        if b:
-            r[aug_col] = b
-        aug.append(r)
-    pivots = echelon(aug)
-    if aug_col in pivots:
-        return None
-    vec = [Fraction(0)] * ncols
-    for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        s = Fraction(0)
-        for cc, v in row.items():
-            if cc == aug_col:
-                s -= v
-            elif cc != c:
-                s += v * vec[cc]
-        vec[c] = -s / row[c]
-    return vec

@@ -31,19 +31,27 @@ class RingParams:
     m: int
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
+        if type(self.k) is not int or self.k < 1:
             raise ValueError("k must be a positive integer")
-        if not isinstance(self.m, int) or self.m < 1:
+        if type(self.m) is not int or self.m < 1:
             raise ValueError("m must be a positive integer")
 
 
 def _as_fraction(c) -> Fraction:
+    """An exact rational from a Fraction, an int or an 'n/d' string.
+
+    Booleans and floats are rejected, so JSON input stays exact and is
+    never echoed back in another type.
+    """
     if isinstance(c, Fraction):
         return c
-    if isinstance(c, int):
+    if type(c) is int:
         return Fraction(c)
     if isinstance(c, str):
-        return Fraction(c)
+        try:
+            return Fraction(c)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {c!r}") from exc
     raise ValueError(f"coefficient must be an exact rational, got {type(c).__name__}")
 
 
@@ -61,7 +69,7 @@ class RingElem:
         clean: dict[tuple[int, int], Fraction] = {}
         m = params.m
         for (l, i), c in terms.items():
-            if not isinstance(l, int) or not isinstance(i, int):
+            if type(l) is not int or type(i) is not int:
                 raise ValueError("term exponents must be integers")
             if i < 0 or i >= m:
                 raise ValueError(f"u-exponent {i} outside [0, {m - 1}]")
@@ -116,21 +124,12 @@ class RingElem:
         """The coefficients of u^i as a map l -> coeff."""
         return {l: c for (l, ii), c in self.terms.items() if ii == i}
 
-    def u_order(self) -> int:
-        """Least u-exponent of a nonzero term; params.m if zero."""
-        if not self.terms:
-            return self.params.m
-        return min(i for (_, i) in self.terms)
-
     def __eq__(self, other):
         return (
             isinstance(other, RingElem)
             and self.params == other.params
             and self.terms == other.terms
         )
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __bool__(self):
         return bool(self.terms)
@@ -307,30 +306,6 @@ def sector_split(x: RingElem, j: int) -> SectorSplit:
     return SectorSplit(raw(x.params, succ), raw(x.params, good), raw(x.params, prec))
 
 
-def plus_parts(x: RingElem, j: int) -> tuple[RingElem, RingElem, RingElem]:
-    """Split off the part of x that is not regular on the second chart.
-
-    Returns (x_plus, x_plus_high, x_plus_low): x_plus collects the
-    monomials with l > k*i, x_plus_high those of them with l >= 2j, and
-    x_plus_low the rest of x_plus.
-    """
-    if j < 1:
-        raise ValueError("j must be a positive integer")
-    k = x.params.k
-    plus: dict = {}
-    high: dict = {}
-    low: dict = {}
-    for (l, i), c in x.terms.items():
-        if l > k * i:
-            plus[(l, i)] = c
-            if l >= 2 * j:
-                high[(l, i)] = c
-            else:
-                low[(l, i)] = c
-    raw = RingElem._raw
-    return raw(x.params, plus), raw(x.params, high), raw(x.params, low)
-
-
 def plus_part(x: RingElem) -> RingElem:
     """The monomials of x with l > k*i (not regular on the second chart)."""
     k = x.params.k
@@ -362,19 +337,30 @@ def elem_to_dict(x: RingElem) -> dict:
 
 
 def elem_from_dict(data: dict) -> RingElem:
+    """Parse the JSON form written by elem_to_dict, rejecting inexact input."""
+    if not isinstance(data, dict):
+        raise ValueError("ring element must be a JSON object")
     extra = set(data) - {"k", "m", "terms"}
     if extra:
         raise ValueError(f"unknown fields: {sorted(extra)}")
     try:
         params = RingParams(data["k"], data["m"])
+        if not isinstance(data["terms"], list):
+            raise ValueError("terms must be a JSON list")
         terms = {}
         for t in data["terms"]:
+            if not isinstance(t, dict):
+                raise ValueError("each term must be a JSON object")
             t_extra = set(t) - {"l", "i", "num", "den"}
             if t_extra:
                 raise ValueError(f"unknown fields: {sorted(t_extra)}")
-            if not isinstance(t["num"], int) or not isinstance(t["den"], int):
-                raise ValueError("coefficients must be exact integers num/den")
             key = (t["l"], t["i"])
+            if type(key[0]) is not int or type(key[1]) is not int:
+                raise ValueError("term exponents must be integers")
+            if type(t["num"]) is not int or type(t["den"]) is not int:
+                raise ValueError("coefficients must be exact integers num/den")
+            if t["den"] == 0:
+                raise ValueError("zero denominator")
             if key in terms:
                 raise ValueError(f"duplicate term {key}")
             terms[key] = Fraction(t["num"], t["den"])

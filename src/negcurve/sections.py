@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import RingElem, RingParams
+from .ring import RingElem, RingParams, elem_from_dict, elem_to_dict
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,8 @@ class TwistedSection:
     rep: RingElem
 
     def __post_init__(self):
+        if type(self.s) is not int:
+            raise ValueError("the twist s must be an integer")
         k = self.rep.params.k
         for (l, i) in self.rep.terms:
             if l < 0 or l > k * i + self.s:
@@ -38,24 +40,17 @@ class TwistedSection:
         return TwistedSection(self.s + other.s, self.rep * other.rep)
 
     def to_dict(self) -> dict:
-        from .ring import elem_to_dict
-
         data = elem_to_dict(self.rep)
         data["s"] = self.s
         return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "TwistedSection":
-        from .ring import elem_from_dict
-
-        extra = set(data) - {"k", "m", "s", "terms"}
-        if extra:
-            raise ValueError(f"unknown fields: {sorted(extra)}")
+        if not isinstance(data, dict):
+            raise ValueError("section must be a JSON object")
         if "s" not in data:
             raise ValueError("missing field 's'")
-        s = data["s"]
-        rep = elem_from_dict({key: data[key] for key in ("k", "m", "terms")})
-        return cls(s, rep)
+        return cls(data["s"], elem_from_dict({key: v for key, v in data.items() if key != "s"}))
 
 
 def h0_basis(s: int, params: RingParams) -> list[tuple[int, int]]:
@@ -73,11 +68,6 @@ def h1_dim(s: int, params: RingParams) -> int:
     """dim H^1(O(s)); the count of gap monomials k*i + s < l < 0."""
     k, m = params.k, params.m
     return sum(max(0, -s - 1 - k * i) for i in range(m))
-
-
-def restrict_to_ell(x: RingElem) -> RingElem:
-    """Restriction to the zero section: the i = 0 layer (a ring map)."""
-    return x.ell_layer()
 
 
 def cone_check(k: int, m: int) -> dict:

@@ -175,6 +175,15 @@ def test_criterion_4_uniqueness_round_trip(groupoid_sweep):
     report_line(4, "pair-to-element round trip", ok, detail or "1000 samples per tuple")
 
 
+# Classes whose Hom dimension was once undercounted, beyond the sampled
+# grid classes: (k, j, m) and the class vector.  The first is z u + z^2 u.
+HOM_REGRESSIONS = [
+    ((1, 3, 4), [0, 0, 1, 1, 0, 0, 0, 0, 0]),
+    ((1, 3, 4), [-2, 3, 2, -2, 2, 1, -2, -1, 3]),
+    ((1, 4, 4), [0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+]
+
+
 def test_criterion_5_dimension_oracle_equivalence():
     t0 = time.time()
     ok = True
@@ -187,15 +196,19 @@ def test_criterion_5_dimension_oracle_equivalence():
     if ok and brute_force_hom(zero, zero)[0] != 30:
         ok, detail = False, "anchored brute force disagrees"
     if ok:
-        for (k, j, m) in GRID:
+        for (k, j, m), vec in [(t, None) for t in GRID] + HOM_REGRESSIONS:
             params = params_of(k, j, m)
             ring = params.ring
             end_split = 2 * h0_dim(0, ring) + h0_dim(2 * j, ring) + h0_dim(-2 * j, ring)
             ext_split = h1_dim(-2 * j, ring)
-            cases = [(ExtClass.zero(params), ExtClass.zero(params))]
-            rng = substream(SEED + 5, k * 100 + j * 10 + m)
-            cases.append((sample_ext_class(params, rng), sample_ext_class(params, rng)))
-            pp = sample_ext_class(params, rng)
+            if vec is None:
+                cases = [(ExtClass.zero(params), ExtClass.zero(params))]
+                rng = substream(SEED + 5, k * 100 + j * 10 + m)
+                cases.append((sample_ext_class(params, rng), sample_ext_class(params, rng)))
+                pp = sample_ext_class(params, rng)
+            else:
+                cases = []
+                pp = ExtClass.from_vector(params, vec)
             cases.append((pp, pp))
             for p, q in cases:
                 prof = hom_ext_dims(p, q)
@@ -210,7 +223,8 @@ def test_criterion_5_dimension_oracle_equivalence():
                 break
     elapsed = time.time() - t0
     report_line(5, "Hom dimensions vs brute force", ok,
-                detail or f"grid of {len(GRID)} tuples, {elapsed:.1f}s")
+                detail or f"grid of {len(GRID)} tuples and {len(HOM_REGRESSIONS)} "
+                f"regression classes, {elapsed:.1f}s")
 
 
 def test_criterion_6_cohomology():

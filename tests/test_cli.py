@@ -141,10 +141,38 @@ def test_check_axioms_verb():
 def test_exit_code_on_malformed_payload():
     proc = run_cli(["isom", "--k", "1", "--j", "2", "--m", "3"], "not json")
     assert proc.returncode == 1
+    for p in (["1/0", 0, 0], {"k": 1, "m": 3, "j": 2, "terms": 5}):
+        proc = run_cli(["isom", "--k", "1", "--j", "2", "--m", "3"],
+                       json.dumps({"p": p, "p_prime": [0, 0, 0]}))
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
     proc = run_cli(["isom", "--k", "1", "--j", "2", "--m", "3"],
                    json.dumps({"p": [1, 2, 5], "p_prime": [3, 6, 0], "junk": 1}))
     assert proc.returncode == 1
     assert "unknown fields" in proc.stderr
+
+
+@pytest.mark.parametrize("field", ["l", "num"])
+def test_boolean_term_field_rejected(field):
+    term = {"l": 1, "i": 1, "num": 1, "den": 1}
+    term[field] = True
+    proc = run_cli(["reduce", "--k", "1", "--j", "2", "--m", "3"],
+                   json.dumps({"y": {"k": 1, "m": 3, "terms": [term]}}))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    proc = run_cli(["isom", "--k", "1", "--j", "2", "--m", "3"],
+                   json.dumps({"p": {"k": 1, "m": 3, "j": 2, "terms": [term]},
+                               "p_prime": [0, 0, 0]}))
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("verb", [["cohomology", "--s", "2"], ["cone-check"]])
+def test_ring_verbs_need_exactly_one_modulus_flag(verb):
+    for flags in ([], ["--m", "3", "--level", "2"]):
+        proc = run_cli(verb + ["--k", "2"] + flags)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+    assert run_cli(verb + ["--k", "2", "--level", "2"]).stdout == \
+        run_cli(verb + ["--k", "2", "--m", "3"]).stdout
 
 
 def test_exit_code_on_bad_flags():

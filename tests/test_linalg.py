@@ -1,4 +1,4 @@
-"""Exact rational row echelon, rank, nullspace and solving."""
+"""Exact rational row echelon, rank and nullspace."""
 
 import random
 from fractions import Fraction
@@ -41,24 +41,6 @@ def test_nullspace_vectors_independent():
     basis = linalg.nullspace(rows, 7)
     as_rows = [{c: v for c, v in enumerate(vec) if v} for vec in basis]
     assert linalg.rank(as_rows) == len(basis)
-
-
-def test_solve_consistent_and_inconsistent():
-    rng = random.Random(2)
-    for _ in range(30):
-        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
-        rows = random_rows(rng, nrows, ncols)
-        target = [Fraction(rng.randint(-3, 3)) for _ in range(ncols)]
-        rhs = apply_rows(rows, target)
-        sol = linalg.solve(rows, rhs, ncols)
-        assert sol is not None
-        assert apply_rows(rows, sol) == rhs
-
-
-def test_solve_detects_inconsistency():
-    rows = [{0: Fraction(1)}, {0: Fraction(1)}]
-    rhs = [Fraction(1), Fraction(2)]
-    assert linalg.solve(rows, rhs, 1) is None
 
 
 def test_rank_of_identity_and_zero():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negcurve.ring import (RingElem, RingParams, elem_from_dict, elem_to_dict,
-                           invert_unit, plus_part, plus_parts, sector_split, truncate)
+from negcurve.ring import (RingElem, RingParams, _as_fraction, elem_from_dict, elem_to_dict,
+                           invert_unit, plus_part, sector_split, truncate)
 
 
 def elem(params, *terms):
@@ -198,41 +198,34 @@ def test_sector_split_reconstruction(x, j):
     assert all(k * i - j + 1 <= l <= j - 1 for (l, i) in split.good.terms)
 
 
-# -- plus parts ---------------------------------------------------------------
+# -- plus part ----------------------------------------------------------------
 
 def test_plus_parts_examples():
     params = RingParams(1, 3)
     x = elem(params, (5, 1, 1), (1, 1, 1))
-    plus, high, low = plus_parts(x, 2)
-    assert plus == RingElem.monomial(params, 5, 1)
-    assert high == RingElem.monomial(params, 5, 1)
-    assert low.is_zero()
+    assert plus_part(x) == RingElem.monomial(params, 5, 1)
 
 
 def test_plus_parts_v_regular_input():
     params = RingParams(2, 3)
     x = elem(params, (1, 1, 1), (-3, 0, 2))
-    plus, high, low = plus_parts(x, 2)
-    assert plus.is_zero() and high.is_zero() and low.is_zero()
+    assert plus_part(x).is_zero()
 
 
 def test_plus_parts_low_band():
     params = RingParams(1, 3)
     x = RingElem.monomial(params, 3, 2)
-    plus, high, low = plus_parts(x, 2)
-    assert plus == x and low == x and high.is_zero()
+    assert plus_part(x) == x
 
 
 @settings(max_examples=100, deadline=None)
-@given(ring_elems(), st.integers(1, 4))
-def test_plus_parts_regularity(x, j):
-    plus, high, low = plus_parts(x, j)
+@given(ring_elems())
+def test_plus_parts_regularity(x):
+    plus = plus_part(x)
     assert (x - plus).is_v_regular()
+    assert x - plus == x.v_regular_part()
     assert plus.is_u_regular()
-    assert plus == high + low
-    assert all(l >= 2 * j for (l, _) in high.terms)
-    assert all(l < 2 * j for (l, _) in low.terms)
-    assert plus == plus_part(x)
+    assert all(l > x.params.k * i for (l, i) in plus.terms)
 
 
 # -- truncation ---------------------------------------------------------------
@@ -271,11 +264,8 @@ def test_truncate_commutes_with_splits(x, j, m_new):
     assert truncate(split.succ, m_new) == tsplit.succ
     assert truncate(split.good, m_new) == tsplit.good
     assert truncate(split.prec, m_new) == tsplit.prec
-    plus, high, low = plus_parts(x, j)
-    tplus, thigh, tlow = plus_parts(tx, j)
-    assert truncate(plus, m_new) == tplus
-    assert truncate(high, m_new) == thigh
-    assert truncate(low, m_new) == tlow
+    assert truncate(plus_part(x), m_new) == plus_part(tx)
+    assert truncate(x.v_regular_part(), m_new) == tx.v_regular_part()
 
 
 # -- serialization ------------------------------------------------------------
@@ -293,6 +283,29 @@ def test_json_rejects_unknown_fields():
     data["extra"] = 1
     with pytest.raises(ValueError, match="unknown fields"):
         elem_from_dict(data)
+
+
+@pytest.mark.parametrize("field", ["l", "i", "num", "den"])
+def test_json_rejects_boolean_term_fields(field):
+    term = {"l": 1, "i": 1, "num": 1, "den": 1}
+    term[field] = True
+    with pytest.raises(ValueError):
+        elem_from_dict({"k": 1, "m": 2, "terms": [term]})
+
+
+def test_json_rejects_boolean_params_and_zero_denominator():
+    with pytest.raises(ValueError):
+        elem_from_dict({"k": True, "m": 2, "terms": []})
+    with pytest.raises(ValueError, match="zero denominator"):
+        elem_from_dict({"k": 1, "m": 2, "terms": [{"l": 0, "i": 0, "num": 1, "den": 0}]})
+
+
+def test_rational_parser():
+    assert _as_fraction(3) == Fraction(3)
+    assert _as_fraction("-2/6") == Fraction(-1, 3)
+    for bad in (True, False, 0.5, None, "1/0", "x"):
+        with pytest.raises(ValueError):
+            _as_fraction(bad)
 
 
 def test_json_rejects_duplicate_terms():

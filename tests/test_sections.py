@@ -5,8 +5,7 @@ import random
 import pytest
 
 from negcurve.ring import RingElem, RingParams
-from negcurve.sections import (TwistedSection, cone_check, h0_basis, h0_dim, h1_dim,
-                               restrict_to_ell)
+from negcurve.sections import TwistedSection, cone_check, h0_basis, h0_dim, h1_dim
 
 
 def enumerate_h0(s, k, m):
@@ -106,8 +105,8 @@ def test_cone_check_up_to_six():
 def test_restrict_to_ell_examples():
     params = RingParams(1, 3)
     x = RingElem.constant(params, 3) + RingElem.monomial(params, 1, 1)
-    assert restrict_to_ell(x) == RingElem.constant(params, 3)
-    assert restrict_to_ell(RingElem.monomial(params, 0, 2)).is_zero()
+    assert x.ell_layer() == RingElem.constant(params, 3)
+    assert RingElem.monomial(params, 0, 2).ell_layer().is_zero()
 
 
 def test_restrict_to_ell_is_ring_map():
@@ -118,8 +117,8 @@ def test_restrict_to_ell_is_ring_map():
                               for _ in range(3)})
         y = RingElem(params, {(rng.randint(-4, 4), rng.randint(0, 2)): rng.randint(-5, 5)
                               for _ in range(3)})
-        assert restrict_to_ell(x * y) == restrict_to_ell(x) * restrict_to_ell(y)
-        assert restrict_to_ell(x + y) == restrict_to_ell(x) + restrict_to_ell(y)
+        assert (x * y).ell_layer() == x.ell_layer() * y.ell_layer()
+        assert (x + y).ell_layer() == x.ell_layer() + y.ell_layer()
 
 
 def test_twisted_section_support_validation():
@@ -157,3 +156,11 @@ def test_twisted_section_json_round_trip():
     bad["junk"] = True
     with pytest.raises(ValueError, match="unknown fields"):
         TwistedSection.from_dict(bad)
+
+
+def test_twisted_section_rejects_inexact_twist():
+    data = TwistedSection(0, RingElem.one(RingParams(1, 2))).to_dict()
+    for bad in (False, [0], "0"):
+        data["s"] = bad
+        with pytest.raises(ValueError, match="twist"):
+            TwistedSection.from_dict(data)
