@@ -15,9 +15,16 @@ import sys
 from .extensions import ExtClass, ModuliParams, reduce_cocycle, restrict_level
 from .groupoid import (GroupElem, act, induced_inverse, induced_product,
                        verify_groupoid)
-from .homspaces import brute_force_hom, hom_ext_dims, isom_decide
+from .homspaces import brute_force_hom, default_degree_bound, hom_ext_dims, isom_decide
 from .ring import ConsistencyError, RingParams, _as_fraction, elem_from_dict, elem_to_dict
-from .sections import cone_check, h0_basis, h1_dim
+from .sections import cone_check, h0_basis, h0_dim, h1_dim
+
+# The largest basis (``cohomology``: the truncation order m and the h0
+# basis of O(s)) or unknown count (``bruteforce``: the degree+1 system)
+# a command may ask for.  These grow linearly in --m, --s and --degree,
+# so a short command line could otherwise allocate without bound; a
+# larger request exits 1 before anything is allocated.
+SIZE_CAP = 20_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,6 +43,11 @@ def _ring_params(args) -> RingParams:
         raise ValueError("--m and --level are mutually exclusive")
     m = args.m if args.m is not None else args.level + 1
     return RingParams(args.k, m)
+
+
+def _check_size(count: int, what: str) -> None:
+    if count > SIZE_CAP:
+        raise ValueError(f"{what} {count} exceeds the size cap {SIZE_CAP}")
 
 
 def _moduli_params(args) -> ModuliParams:
@@ -150,18 +162,18 @@ def _cmd_dims(args, out):
 
 def _cmd_bruteforce(args, out):
     params = _moduli_params(args)
+    degree = args.degree if args.degree is not None else default_degree_bound(params)
+    # Four entries of A on the monomials z^l u^i, l <= degree + 1, i < m.
+    _check_size(4 * params.m * (degree + 2), "brute-force unknown count")
     data = _load_payload(args)
     _require_fields(data, {"p", "p_prime"})
     p = _ext_class(data["p"], params)
     p_prime = _ext_class(data["p_prime"], params)
-    dim, _ = brute_force_hom(p, p_prime, args.degree)
+    dim, _ = brute_force_hom(p, p_prime, degree)
     profile = hom_ext_dims(p, p_prime)
     if profile.dim_hom != dim:
         raise ConsistencyError(
             f"oracle mismatch: brute force {dim} vs filtration {profile.dim_hom}")
-    from .homspaces import default_degree_bound
-
-    degree = args.degree if args.degree is not None else default_degree_bound(params)
     _dump({"degree": degree, "dim": dim, "stabilized": True}, out)
 
 
@@ -174,6 +186,8 @@ def _cmd_check_axioms(args, out):
 
 def _cmd_cohomology(args, out):
     params = _ring_params(args)
+    _check_size(params.m, "truncation order m")
+    _check_size(h0_dim(args.s, params), "h0 basis size")
     basis = h0_basis(args.s, params)
     _dump({"s": args.s, "h0_dim": len(basis), "h0_basis": [[l, i] for (l, i) in basis],
            "h1_dim": h1_dim(args.s, params)}, out)

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from negcurve import cli
+
 CMD = [sys.executable, "-m", "negcurve.cli"]
 
 
@@ -222,3 +224,58 @@ def test_byte_identical_reruns(args, payload):
     assert first.returncode == 0
     assert first.stdout == second.stdout
     json.loads(first.stdout)
+
+
+# -- size cap --------------------------------------------------------------------
+# In process, with the allocating call replaced by one that fails the test,
+# so a request over the cap is rejected without allocating even if the
+# check were missing.
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("called past the size cap")
+
+
+def test_size_cap_check():
+    cli._check_size(cli.SIZE_CAP, "count")
+    with pytest.raises(ValueError, match="exceeds the size cap"):
+        cli._check_size(cli.SIZE_CAP + 1, "count")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--k", "1", "--m", "1", "--s", str(cli.SIZE_CAP)],
+    ["--k", "1", "--m", "3", "--s", str(10 ** 12)],
+    ["--k", str(10 ** 12), "--m", "3", "--s", "0"],
+    ["--k", "1", "--m", str(cli.SIZE_CAP + 1), "--s", "-5"],
+])
+def test_cohomology_over_size_cap_exits_1(flags, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "h0_basis", _forbidden)
+    assert cli.main(["cohomology"] + flags) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "exceeds the size cap" in err
+
+
+def test_cohomology_at_size_cap_runs(capsys):
+    assert cli.main(["cohomology", "--k", "1", "--m", "1", "--s", str(cli.SIZE_CAP - 1)]) == 0
+    assert json.loads(capsys.readouterr().out)["h0_dim"] == cli.SIZE_CAP
+
+
+@pytest.mark.parametrize("flags", [
+    ["--k", "1", "--j", "2", "--m", "3", "--degree", str(cli.SIZE_CAP // 12 - 1)],
+    ["--k", "1", "--j", "2", "--m", "3", "--degree", str(10 ** 12)],
+    ["--k", "1", "--j", str(10 ** 9), "--m", "3"],
+])
+def test_bruteforce_over_size_cap_exits_1(flags, monkeypatch, capsys):
+    # The cap is checked before the payload is read.
+    monkeypatch.setattr(cli, "brute_force_hom", _forbidden)
+    monkeypatch.setattr(cli, "_load_payload", _forbidden)
+    assert cli.main(["bruteforce"] + flags) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "exceeds the size cap" in err
+
+
+def test_bruteforce_just_under_size_cap_passes_the_check(monkeypatch):
+    degree = cli.SIZE_CAP // 12 - 2  # 12 * (degree + 2) <= SIZE_CAP at m = 3
+    monkeypatch.setattr(cli, "_load_payload", _forbidden)
+    with pytest.raises(AssertionError, match="past the size cap"):
+        cli.main(["bruteforce", "--k", "1", "--j", "2", "--m", "3", "--degree", str(degree)])

@@ -233,6 +233,18 @@ def test_hom_regressions_match_brute_force(name):
     assert hom_ext_dims(p, p).dim_hom == brute_force_hom(p, p)[0] == dim
 
 
+@pytest.mark.parametrize("k,j,m", [(1, 2, 3), (1, 3, 4), (1, 4, 6), (2, 4, 3)])
+def test_dense_brute_force_matches_filtration(k, j, m):
+    # Every band coefficient and every section of g nonzero.
+    params = params_of(k, j, m)
+    rng = substream(4606, 100 * k + 10 * j + m)
+    p = ec([Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.choice((1, 2, 3)))
+            for _ in basis_W(params)], params)
+    g = sample_group_elem(params, rng, max_terms=10 ** 6)
+    for q in (p, act(g, p)):
+        assert brute_force_hom(p, q)[0] == hom_ext_dims(p, q).dim_hom
+
+
 def test_dense_profile_at_1_6_8():
     params = params_of(1, 6, 8)
     ring = params.ring
