@@ -19,11 +19,13 @@ from .homspaces import brute_force_hom, default_degree_bound, hom_ext_dims, isom
 from .ring import ConsistencyError, RingParams, _as_fraction, elem_from_dict, elem_to_dict
 from .sections import cone_check, h0_basis, h0_dim, h1_dim
 
-# The largest basis (``cohomology``: the truncation order m and the h0
-# basis of O(s)) or unknown count (``bruteforce``: the degree+1 system)
-# a command may ask for.  These grow linearly in --m, --s and --degree,
-# so a short command line could otherwise allocate without bound; a
-# larger request exits 1 before anything is allocated.
+# The largest basis or count a command may ask for: the truncation order
+# m and the h0 basis of O(2j) (the largest basis behind every verb that
+# takes --j), the h0 basis of O(s) (``cohomology``), the relation count
+# (``cone-check``) and the unknown count (``bruteforce``: the degree+1
+# system).  These grow with --k, --j, --m, --s and --degree, so a short
+# command line could otherwise allocate without bound; a larger request
+# exits 1 before anything is allocated.
 SIZE_CAP = 20_000
 
 
@@ -51,7 +53,12 @@ def _check_size(count: int, what: str) -> None:
 
 
 def _moduli_params(args) -> ModuliParams:
-    return ModuliParams(_ring_params(args), args.j)
+    params = ModuliParams(_ring_params(args), args.j)
+    _check_size(params.m, "truncation order m")
+    # h0(O(2j)) has k*i + 2j + 1 monomials at u-order i, the Ext^1 band
+    # 2j - 1 - k*i, so this also bounds the band, basis_W and h0(O(-2j)).
+    _check_size(h0_dim(2 * params.j, params.ring), "h0 basis size")
+    return params
 
 
 def _load_payload(args) -> dict:
@@ -195,6 +202,7 @@ def _cmd_cohomology(args, out):
 
 def _cmd_cone_check(args, out):
     params = _ring_params(args)
+    _check_size(params.k * (params.k - 1) // 2, "cone relation count")
     _dump(cone_check(params.k, params.m), out)
 
 

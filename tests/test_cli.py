@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from negcurve import cli
+from negcurve import cli, extensions
 
 CMD = [sys.executable, "-m", "negcurve.cli"]
 
@@ -279,3 +279,45 @@ def test_bruteforce_just_under_size_cap_passes_the_check(monkeypatch):
     monkeypatch.setattr(cli, "_load_payload", _forbidden)
     with pytest.raises(AssertionError, match="past the size cap"):
         cli.main(["bruteforce", "--k", "1", "--j", "2", "--m", "3", "--degree", str(degree)])
+
+
+@pytest.mark.parametrize("verb", [
+    ["basis"], ["reduce"], ["act"], ["compose"], ["invert-g"], ["isom"], ["dims"],
+    ["check-axioms"], ["restrict", "--to", "1"],
+], ids=lambda verb: verb[0])
+def test_moduli_verbs_over_size_cap_exit_1(verb, monkeypatch, capsys):
+    # Payload verbs read the payload only after the check; basis and
+    # check-axioms allocate in basis_W and verify_groupoid.
+    monkeypatch.setattr(cli, "_load_payload", _forbidden)
+    monkeypatch.setattr(cli, "verify_groupoid", _forbidden)
+    monkeypatch.setattr(extensions, "basis_W", _forbidden)
+    for flags in (["--k", "1", "--j", str(10 ** 9), "--m", "3"],
+                  ["--k", "1", "--j", "2", "--m", str(cli.SIZE_CAP + 1)],
+                  ["--k", "1", "--j", "2", "--level", str(10 ** 12)],
+                  ["--k", str(10 ** 12), "--j", "2", "--m", "3"],
+                  ["--k", "1", "--j", str(cli.SIZE_CAP // 2), "--m", "1"]):
+        assert cli.main(verb + flags) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "exceeds the size cap" in err
+
+
+def test_moduli_verbs_at_size_cap_run(capsys):
+    # At m = 1, h0(O(2j)) has 2j + 1 monomials and the normal-form band is empty.
+    j = (cli.SIZE_CAP - 1) // 2
+    assert cli.main(["basis", "--k", "1", "--j", str(j), "--m", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 0
+
+
+@pytest.mark.parametrize("k", [201, 10 ** 12])
+def test_cone_check_over_size_cap_exits_1(k, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "cone_check", _forbidden)
+    assert cli.main(["cone-check", "--k", str(k), "--m", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "exceeds the size cap" in err
+
+
+def test_cone_check_just_under_size_cap_passes_the_check(monkeypatch):
+    # k = 200 gives 200 * 199 / 2 = 19,900 relations.
+    monkeypatch.setattr(cli, "cone_check", _forbidden)
+    with pytest.raises(AssertionError, match="past the size cap"):
+        cli.main(["cone-check", "--k", "200", "--m", "2"])

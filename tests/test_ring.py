@@ -1,11 +1,14 @@
 """Exact arithmetic, unit inversion, sector splits and truncation."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from negcurve.extensions import ModuliParams, basis_W
+from negcurve.groupoid import sample_ext_class, sample_group_elem
 from negcurve.ring import (RingElem, RingParams, _as_fraction, elem_from_dict, elem_to_dict,
                            invert_unit, plus_part, sector_split, truncate)
 
@@ -103,6 +106,149 @@ def test_binomial_product():
     one = RingElem.one(params)
     u = RingElem.monomial(params, 0, 1)
     assert (one + u) * (one - u) == one - RingElem.monomial(params, 0, 2)
+
+
+# -- the integer product kernel against the Fraction reference ----------------
+
+# Verbatim copy of the per-term-pair Fraction product that the integer
+# kernel replaced; kept only as the reference the kernel must match.
+
+
+def _reference_shifted(terms, dl, di, c0, m):
+    if di == 0 and c0 == 1:
+        if dl == 0:
+            return dict(terms)
+        return {(l + dl, i): c for (l, i), c in terms.items()}
+    out = {}
+    for (l, i), c in terms.items():
+        i2 = i + di
+        if i2 < m:
+            out[(l + dl, i2)] = c0 * c
+    return out
+
+
+def _reference_mul(self, other):
+    self._check_same(other)
+    a, b = self.terms, other.terms
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return RingElem._raw(self.params, {})
+    if len(a) == 1:
+        ((l0, i0), c0), = a.items()
+        return RingElem._raw(self.params, _reference_shifted(b, l0, i0, c0, self.params.m))
+    m = self.params.m
+    acc = {}
+    for (l1, i1), c1 in a.items():
+        for (l2, i2), c2 in b.items():
+            i = i1 + i2
+            if i >= m:
+                continue
+            key = (l1 + l2, i)
+            s = acc.get(key)
+            acc[key] = c1 * c2 if s is None else s + c1 * c2
+    return RingElem._raw(self.params, {key: c for key, c in acc.items() if c})
+
+
+def assert_matches_reference(x, y):
+    got = list((x * y).terms.items())
+    assert got == list(_reference_mul(x, y).terms.items())
+    assert all(type(c) is Fraction and c for _, c in got)
+
+
+def random_elem(rng, params, nterms, max_den, l_range):
+    terms = {}
+    for _ in range(nterms):
+        key = (rng.randint(*l_range), rng.randrange(params.m))
+        terms[key] = Fraction(rng.randint(-max_den, max_den), rng.randint(1, max_den))
+    return RingElem(params, terms)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_product_kernel_matches_fraction_reference(seed):
+    # Denominators up to 10^6, negative and large z-exponents, and u-orders
+    # whose sums fall on both sides of the cut-off i1 + i2 == m.
+    rng = random.Random(seed)
+    params = RingParams(rng.randint(1, 3), rng.randint(1, 6))
+    l_range = rng.choice(((-3, 3), (-10 ** 12, -10 ** 12 + 4), (10 ** 12, 10 ** 12 + 4), (-40, 40)))
+    for _ in range(10):
+        x = random_elem(rng, params, rng.randint(0, 8), rng.choice((1, 7, 10 ** 6)), l_range)
+        y = random_elem(rng, params, rng.randint(0, 8), rng.choice((1, 7, 10 ** 6)), l_range)
+        assert_matches_reference(x, y)
+        assert_matches_reference(y, x)
+
+
+def test_product_kernel_zero_and_single_term_operands():
+    rng = random.Random(7)
+    params = RingParams(2, 4)
+    zero = RingElem.zero(params)
+    x = random_elem(rng, params, 6, 10 ** 6, (-5, 5))
+    assert_matches_reference(zero, x)
+    assert_matches_reference(x, zero)
+    assert_matches_reference(zero, zero)
+    for c in (Fraction(1), Fraction(-1), Fraction(3, 7)):
+        for l, i in ((0, 0), (-3, 0), (2, 1), (5, 3), (-10 ** 12, 2)):
+            mono = RingElem.monomial(params, l, i, c)
+            assert_matches_reference(mono, x)
+            assert_matches_reference(x, mono)
+            assert_matches_reference(mono, mono)
+
+
+def test_product_kernel_drops_exact_cancellations():
+    params = RingParams(1, 3)
+    z = RingElem.monomial(params, 1, 0, Fraction(1, 3))
+    u = RingElem.monomial(params, -4, 1, Fraction(5, 6))
+    x, y = z + u, z - u
+    assert_matches_reference(x, y)
+    # The cross terms z*u cancel and are not stored; u^2 survives.
+    assert list((x * y).terms) == [(2, 0), (-8, 2)]
+    # Two-term operands whose product is cut off entirely by u^3 = 0.
+    top, low = (z + z.shift(1)).shift(0, 2), y.shift(0, 1)
+    assert len(top.terms) == len(low.terms) == 2
+    assert_matches_reference(top, low)
+    assert (top * low).is_zero()
+
+
+def test_product_kernel_dense_group_element_times_full_class():
+    params = ModuliParams(RingParams(1, 8), 6)
+    rng = random.Random(4608)
+    p = sample_ext_class(params, rng, max_terms=10 ** 6)
+    g = sample_group_elem(params, rng, max_terms=10 ** 6)
+    assert len(p.p.terms) == len(basis_W(params))
+    for entry in (g.a.rep, g.b.rep, g.c.rep, g.d.rep):
+        assert_matches_reference(entry, p.p)
+        assert_matches_reference(entry, entry)
+
+
+def _counting(monkeypatch, names):
+    calls = []
+    for name in names:
+        original = getattr(Fraction, name)
+
+        def wrapper(a, b, _original=original, _name=name):
+            calls.append(_name)
+            return _original(a, b)
+
+        monkeypatch.setattr(Fraction, name, wrapper)
+    return calls
+
+
+def test_products_make_no_per_term_fraction_arithmetic(monkeypatch):
+    # A product may build one Fraction per output term, but must not
+    # multiply or add Fractions per pair of terms.
+    params = RingParams(2, 5)
+    rng = random.Random(3)
+    x = random_elem(rng, params, 6, 10 ** 6, (-5, 5))
+    y = random_elem(rng, params, 6, 10 ** 6, (-5, 5))
+    unit_mono = RingElem.monomial(params, -3, 2)
+    calls = _counting(monkeypatch, ("__mul__", "__rmul__", "__add__", "__radd__"))
+    xy = x * y
+    shifted = unit_mono * x
+    assert calls == []
+    assert len(xy.terms) > 1 and len(shifted.terms) > 1
+    # The wrappers count: one Fraction product is seen.
+    Fraction(1, 2) * Fraction(1, 3)
+    assert calls == ["__mul__"]
 
 
 @settings(max_examples=150, deadline=None)
