@@ -385,7 +385,8 @@ def _check_sample(params: ModuliParams, rng: random.Random,
     # Associativity of the base-point product.
     h12 = induced_product(g1, g2, q3, check=False)
     lhs = induced_product(h12, g3, p, check=False)
-    rhs = induced_product(g1, h23, p, check=False)
+    h23b = induced_product(g2, g3, p, check=False)
+    rhs = induced_product(g1, h23b, p, check=False)
     out["associativity"] = lhs == rhs
 
     out["identity_laws"] = (induced_product(e, g1, p, check=False) == g1

@@ -216,7 +216,7 @@ class RingElem:
 
     def shift(self, dl: int, di: int = 0) -> "RingElem":
         """Multiply by the monomial z^dl u^di."""
-        return RingElem._raw(self.params, _shifted(self.terms, dl, di, Fraction(1), self.params.m))
+        return RingElem._raw(self.params, _moved(self.terms, dl, di, self.params.m))
 
     # -- support projections -----------------------------------------------
 
@@ -243,12 +243,23 @@ class RingElem:
         return self.select(lambda l, i: i == 0)
 
 
+def _moved(terms: Mapping, dl: int, di: int, m: int) -> dict:
+    """terms times the monomial z^dl u^di: exponents move, coefficients stay."""
+    if di == 0:
+        return dict(terms) if dl == 0 else {(l + dl, i): c for (l, i), c in terms.items()}
+    return {(l + dl, i + di): c for (l, i), c in terms.items() if i + di < m}
+
+
 def _shifted(terms: Mapping, dl: int, di: int, c0: Fraction, m: int) -> dict:
+    """terms times c0 z^dl u^di."""
     if c0 == 1:
-        if dl == 0 and di == 0:
-            return dict(terms)
-        return {(l + dl, i + di): c for (l, i), c in terms.items() if i + di < m}
-    return {(l + dl, i + di): c0 * c for (l, i), c in terms.items() if i + di < m}
+        return _moved(terms, dl, di, m)
+    out = {}
+    for (l, i), c in terms.items():
+        i2 = i + di
+        if i2 < m:
+            out[(l + dl, i2)] = c0 * c
+    return out
 
 
 def _over_common_denominator(terms: Mapping) -> tuple[int, list]:

@@ -244,8 +244,10 @@ def test_products_make_no_per_term_fraction_arithmetic(monkeypatch):
     calls = _counting(monkeypatch, ("__mul__", "__rmul__", "__add__", "__radd__"))
     xy = x * y
     shifted = unit_mono * x
+    moved = x.shift(-3, 2)
     assert calls == []
     assert len(xy.terms) > 1 and len(shifted.terms) > 1
+    assert list(moved.terms.items()) == list(shifted.terms.items())
     # The wrappers count: one Fraction product is seen.
     Fraction(1, 2) * Fraction(1, 3)
     assert calls == ["__mul__"]
