@@ -7,11 +7,11 @@ chart-regular isomorphism pairs, an exact isomorphism decision, and
 Hom/Ext dimensions, all over the rationals with zero tolerance.
 """
 
-from .ring import (ConsistencyError, RingElem, RingParams, SectorSplit, invert_unit,
-                   plus_part, sector_split, truncate)
+from .ring import (ConsistencyError, RingElem, RingParams, invert_unit, plus_part,
+                   sector_split, truncate)
 from .sections import TwistedSection, cone_check, h0_basis, h0_dim, h1_dim
-from .extensions import (ExtClass, Mat2, ModuliParams, TransitionMatrix, basis_W,
-                         class_is_zero, ext1_band, reduce_cocycle, restrict_level)
+from .extensions import (ExtClass, Mat2, ModuliParams, basis_W, class_is_zero,
+                         ext1_band, reduce_cocycle, restrict_level)
 from .groupoid import (CocyclePair, GroupElem, act, cocycle_matrices, extract_group_elem,
                        induced_inverse, induced_product, sample_ext_class,
                        sample_group_elem, substream, verify_groupoid)
@@ -19,10 +19,10 @@ from .homspaces import (HomProfile, brute_force_hom, build_linear_system, hom_ex
                         isom_decide, obstruction, spectral_differentials, witness_condition)
 
 __all__ = [
-    "ConsistencyError", "RingElem", "RingParams", "SectorSplit", "invert_unit",
-    "plus_part", "sector_split", "truncate",
+    "ConsistencyError", "RingElem", "RingParams", "invert_unit", "plus_part",
+    "sector_split", "truncate",
     "TwistedSection", "cone_check", "h0_basis", "h0_dim", "h1_dim",
-    "ExtClass", "Mat2", "ModuliParams", "TransitionMatrix", "basis_W", "class_is_zero",
+    "ExtClass", "Mat2", "ModuliParams", "basis_W", "class_is_zero",
     "ext1_band", "reduce_cocycle", "restrict_level",
     "CocyclePair", "GroupElem", "act", "cocycle_matrices", "extract_group_elem",
     "induced_inverse", "induced_product", "sample_ext_class", "sample_group_elem",

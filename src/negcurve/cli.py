@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .extensions import ExtClass, ModuliParams, reduce_cocycle, restrict_level
+from .extensions import ExtClass, ModuliParams, basis_W, reduce_cocycle, restrict_level
 from .groupoid import (GroupElem, act, induced_inverse, induced_product,
                        verify_groupoid)
 from .homspaces import brute_force_hom, default_degree_bound, hom_ext_dims, isom_decide
@@ -103,8 +103,6 @@ def _require_fields(data: dict, fields: set[str]):
 
 
 def _cmd_basis(args, out):
-    from .extensions import basis_W
-
     params = _moduli_params(args)
     basis = basis_W(params)
     _dump({"dim": len(basis), "indices": [[i, l] for (i, l) in basis]}, out)

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import RingElem, RingParams, elem_from_dict, elem_to_dict, sector_split, truncate
+from .ring import (RingElem, RingParams, elem_from_dict, elem_to_dict, invert_unit,
+                   sector_split, truncate)
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,13 @@ class ExtClass:
     def __repr__(self):
         return f"ExtClass(j={self.params.j}, p={self.p!r})"
 
+    def transition(self) -> "Mat2":
+        """The upper-triangular gluing matrix (z^j, p; 0, z^-j) of the bundle."""
+        ring = self.params.ring
+        j = self.params.j
+        return Mat2(RingElem.monomial(ring, j, 0), self.p, RingElem.zero(ring),
+                    RingElem.monomial(ring, -j, 0))
+
     def to_dict(self) -> dict:
         data = elem_to_dict(self.p)
         data["j"] = self.params.j
@@ -130,15 +138,10 @@ def reduce_cocycle(y: RingElem, params: ModuliParams) -> tuple[ExtClass, RingEle
     a class does not split on the zero section.
     """
     j = params.j
-    lay0 = y.ell_layer()
-    for (l, _) in lay0.terms:
-        if -j < l < j:
-            raise ValueError("class does not vanish on ell")
-    rest = y - lay0
-    split = sector_split(rest, j)
-    f_u = (split.succ + lay0.select(lambda l, i: l >= j)).shift(-j)
-    f_v = (split.prec + lay0.select(lambda l, i: l <= -j)).shift(j)
-    return ExtClass(params, split.good), f_u, f_v
+    succ, good, prec = sector_split(y, j)
+    if any(i == 0 for (_, i) in good.terms):
+        raise ValueError("class does not vanish on ell")
+    return ExtClass(params, good), succ.shift(-j), prec.shift(j)
 
 
 def restrict_level(p: ExtClass, m_new: int) -> ExtClass:
@@ -182,8 +185,6 @@ class Mat2:
 
     def inverse(self) -> "Mat2":
         """Adjugate inverse; the determinant must be an ell-constant unit."""
-        from .ring import invert_unit
-
         inv_det = invert_unit(self.det())
         return Mat2(
             self.a22 * inv_det,
@@ -197,32 +198,3 @@ class Mat2:
         one = RingElem.one(ring)
         zero = RingElem.zero(ring)
         return cls(one, zero, zero, one)
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """The upper-triangular gluing matrix (z^j, p; 0, z^-j) of a bundle."""
-
-    params: ModuliParams
-    p: ExtClass
-
-    def matrix(self) -> Mat2:
-        ring = self.params.ring
-        j = self.params.j
-        return Mat2(
-            RingElem.monomial(ring, j, 0),
-            self.p.p,
-            RingElem.zero(ring),
-            RingElem.monomial(ring, -j, 0),
-        )
-
-    def matrix_inverse(self) -> Mat2:
-        # The determinant is 1, so the inverse is (z^-j, -p; 0, z^j).
-        ring = self.params.ring
-        j = self.params.j
-        return Mat2(
-            RingElem.monomial(ring, -j, 0),
-            -self.p.p,
-            RingElem.zero(ring),
-            RingElem.monomial(ring, j, 0),
-        )

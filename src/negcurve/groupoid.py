@@ -18,12 +18,11 @@ groupoid laws exactly on seeded random samples.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .extensions import ExtClass, Mat2, ModuliParams, TransitionMatrix, basis_W
-from .ring import ConsistencyError, RingElem, plus_part, sector_split, truncate
+from .extensions import ExtClass, Mat2, ModuliParams, basis_W, restrict_level
+from .ring import ConsistencyError, RingElem, RingParams, plus_part, sector_split, truncate
 from .sections import TwistedSection, h0_basis
 
 
@@ -76,19 +75,9 @@ class GroupElem:
         return cls.from_reps(params, RingElem.constant(ring, lam), RingElem.zero(ring),
                              RingElem.zero(ring), RingElem.constant(ring, mu))
 
-    def is_identity(self) -> bool:
-        one = RingElem.one(self.params.ring)
-        return (self.a.rep == one and self.d.rep == one
-                and self.b.rep.is_zero() and self.c.rep.is_zero())
-
     def matrix(self) -> Mat2:
         """First-chart matrix (a, b_U; c_U, d)."""
         return Mat2(self.a.rep, self.b.rep, self.c.rep, self.d.rep)
-
-    def matrix_product(self, other: "GroupElem") -> "GroupElem":
-        """Plain 2x2 matrix product, ignoring any base point."""
-        m = self.matrix() * other.matrix()
-        return GroupElem.from_reps(self.params, m.a11, m.a12, m.a21, m.a22)
 
     def truncated(self, m_new: int) -> "GroupElem":
         params = self.params.restricted(m_new)
@@ -140,9 +129,7 @@ class CocyclePair:
         return CocyclePair(self.params, self.A.inverse(), self.B.inverse())
 
     def intertwines(self, p: ExtClass, p_target: ExtClass) -> bool:
-        lhs = self.B * TransitionMatrix(self.params, p).matrix()
-        rhs = TransitionMatrix(self.params, p_target).matrix() * self.A
-        return lhs == rhs
+        return self.B * p.transition() == p_target.transition() * self.A
 
     def is_chart_regular(self) -> bool:
         return (all(e.is_u_regular() for e in self.A.entries())
@@ -210,11 +197,11 @@ def _build_pair(g: GroupElem, p: ExtClass, target: ExtClass, check: bool) -> Coc
     b22 = d_rep - g_v
 
     r = b11 * p.p - target.p * a22
-    split = sector_split(r, j)
-    if not split.good.is_zero():
+    succ, good, prec = sector_split(r, j)
+    if not good.is_zero():
         raise ConsistencyError("cocycle target does not match the action")
-    a12 = b_rep + split.succ.shift(-j)
-    b12 = b_rep.shift(2 * j) - split.prec.shift(j)
+    a12 = b_rep + succ.shift(-j)
+    b12 = b_rep.shift(2 * j) - prec.shift(j)
 
     pair = CocyclePair(params, Mat2(a11, a12, c_rep, a22),
                        Mat2(b11, b12, c_rep.shift(-2 * j), b22))
@@ -268,10 +255,10 @@ def extract_group_elem(pair: CocyclePair, p: ExtClass, p_target: ExtClass) -> Gr
         raise ValueError("not a normalized cocycle pair")
 
     r = B.a11 * p.p - p_target.p * A.a22
-    split = sector_split(r, j)
-    if not split.good.is_zero():
+    succ, good, _ = sector_split(r, j)
+    if not good.is_zero():
         raise ValueError("not a normalized cocycle pair")
-    b_rep = A.a12 - split.succ.shift(-j)
+    b_rep = A.a12 - succ.shift(-j)
     try:
         b_sec = TwistedSection(-2 * j, b_rep)
     except ValueError as exc:
@@ -313,10 +300,6 @@ _MASK = (1 << 63) - 1
 def substream(seed: int, index: int) -> random.Random:
     """A deterministic per-sample random stream derived from (seed, index)."""
     return random.Random(((seed * _MIX1) ^ (index * _MIX2)) & _MASK)
-
-
-def _rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
 
 
 def _nonzero_rational(rng: random.Random) -> Fraction:
@@ -398,8 +381,6 @@ def _check_sample(params: ModuliParams, rng: random.Random,
                            and act(ginv, q1) == p)
 
     if with_truncation and params.m > 1:
-        from .extensions import restrict_level
-
         m_new = params.m - 1
         tg1, tg2 = g1.truncated(m_new), g2.truncated(m_new)
         tp = restrict_level(p, m_new)
@@ -413,8 +394,6 @@ def _check_sample(params: ModuliParams, rng: random.Random,
 
 def _verify_chunk(args) -> dict:
     k, j, m, seed, start, stop, truncation_samples = args
-    from .ring import RingParams
-
     params = ModuliParams(RingParams(k, m), j)
     counts = {name: 0 for name in _FAMILIES}
     passed = {name: 0 for name in _FAMILIES}
@@ -442,10 +421,18 @@ def verify_groupoid(params: ModuliParams, samples: int, seed: int,
     trip.  The first ``truncation_samples`` draws additionally check
     that everything commutes with truncation to level m-1.  Sample
     streams are derived per index, so the report does not depend on the
-    number of workers.
+    number of workers.  Raises ValueError unless samples >= 1 and
+    truncation_samples >= 0.
     """
-    jobs = []
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    if truncation_samples < 0:
+        raise ValueError("truncation_samples must be non-negative")
     if workers > 1 and samples >= 2 * workers:
+        # Imported here: loading the pool costs every CLI start-up, and
+        # no CLI verb runs more than one worker.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = (samples + 2 * workers - 1) // (2 * workers)
         starts = list(range(0, samples, chunk))
         args = [(params.k, params.j, params.m, seed, s, min(s + chunk, samples),

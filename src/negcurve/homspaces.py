@@ -284,10 +284,8 @@ def brute_force_hom(p: ExtClass, p_target: ExtClass,
 
     ring = params.ring
     pairs = []
-    from .extensions import TransitionMatrix
-
-    t_source = TransitionMatrix(params, p)
-    t_target = TransitionMatrix(params, p_target)
+    t_target = p_target.transition()
+    t_source_inv = p.transition().inverse()
     for vec in basis:
         entries = []
         for entry in range(4):
@@ -299,6 +297,6 @@ def brute_force_hom(p: ExtClass, p_target: ExtClass,
                     terms[(l, i)] = coeff
             entries.append(RingElem(ring, terms))
         a_mat = Mat2(*entries)
-        b_mat = t_target.matrix() * a_mat * t_source.matrix_inverse()
+        b_mat = t_target * a_mat * t_source_inv
         pairs.append(CocyclePair(params, a_mat, b_mat))
     return len(basis), pairs

@@ -224,9 +224,6 @@ class RingElem:
         """The partial sum over monomials with pred(l, i) true."""
         return RingElem._raw(self.params, {(l, i): c for (l, i), c in self.terms.items() if pred(l, i)})
 
-    def u_regular_part(self) -> "RingElem":
-        return self.select(lambda l, i: l >= 0)
-
     def v_regular_part(self) -> "RingElem":
         k = self.params.k
         return self.select(lambda l, i: l <= k * i)
@@ -300,22 +297,15 @@ def invert_unit(x: RingElem) -> RingElem:
     return acc.scale(1 / c0)
 
 
-@dataclass(frozen=True)
-class SectorSplit:
-    """Three-way split of a function vanishing on the zero section.
+def sector_split(x: RingElem, j: int) -> tuple[RingElem, RingElem, RingElem]:
+    """Three-way split (succ, good, prec) of x by its sectors.
 
     succ holds the monomials with l >= j (z^-j times them is regular on
     the first chart), prec those with l + j <= k*i (z^j times them is
-    regular on the second chart), and good the band k*i-j+1 <= l <= j-1.
-    Monomials eligible for both succ and prec are assigned to succ.
+    regular on the second chart), and good the rest, the band
+    k*i-j+1 <= l <= j-1.  Monomials eligible for both succ and prec are
+    assigned to succ.  On the zero section (i = 0) the band is |l| < j.
     """
-
-    succ: RingElem
-    good: RingElem
-    prec: RingElem
-
-
-def sector_split(x: RingElem, j: int) -> SectorSplit:
     if j < 1:
         raise ValueError("j must be a positive integer")
     k = x.params.k
@@ -323,8 +313,6 @@ def sector_split(x: RingElem, j: int) -> SectorSplit:
     good: dict = {}
     prec: dict = {}
     for (l, i), c in x.terms.items():
-        if i == 0:
-            raise ValueError("does not vanish on ell")
         if l >= j:
             succ[(l, i)] = c
         elif l + j <= k * i:
@@ -332,7 +320,7 @@ def sector_split(x: RingElem, j: int) -> SectorSplit:
         else:
             good[(l, i)] = c
     raw = RingElem._raw
-    return SectorSplit(raw(x.params, succ), raw(x.params, good), raw(x.params, prec))
+    return raw(x.params, succ), raw(x.params, good), raw(x.params, prec)
 
 
 def plus_part(x: RingElem) -> RingElem:

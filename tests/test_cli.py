@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from negcurve import cli, extensions
+from negcurve import cli
 
 CMD = [sys.executable, "-m", "negcurve.cli"]
 
@@ -138,6 +138,23 @@ def test_check_axioms_verb():
     assert out["all_passed"] is True
     assert out["seed"] == 3 and out["samples"] == 15
     assert out["families"]["associativity"]["checked"] == 15
+
+
+@pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-3"],
+                                   ["--truncation-samples", "-4"]])
+def test_check_axioms_rejects_vacuous_counts(flags):
+    proc = run_cli(["check-axioms", "--k", "1", "--j", "2", "--m", "3"] + flags)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
+def test_import_leaves_process_pool_unloaded():
+    probe = ("import sys, negcurve.cli; "
+             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+             "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_exit_code_on_malformed_payload():
@@ -290,7 +307,7 @@ def test_moduli_verbs_over_size_cap_exit_1(verb, monkeypatch, capsys):
     # check-axioms allocate in basis_W and verify_groupoid.
     monkeypatch.setattr(cli, "_load_payload", _forbidden)
     monkeypatch.setattr(cli, "verify_groupoid", _forbidden)
-    monkeypatch.setattr(extensions, "basis_W", _forbidden)
+    monkeypatch.setattr(cli, "basis_W", _forbidden)
     for flags in (["--k", "1", "--j", str(10 ** 9), "--m", "3"],
                   ["--k", "1", "--j", "2", "--m", str(cli.SIZE_CAP + 1)],
                   ["--k", "1", "--j", "2", "--level", str(10 ** 12)],

@@ -1,12 +1,13 @@
 """Normal-form bands, cocycle reduction and level restriction."""
 
 import random
+from collections import namedtuple
+from fractions import Fraction
 
 import pytest
 
-from negcurve.extensions import (ExtClass, ModuliParams, TransitionMatrix, basis_W,
-                                 class_is_zero, ext1_band, reduce_cocycle,
-                                 restrict_level)
+from negcurve.extensions import (ExtClass, Mat2, ModuliParams, basis_W, class_is_zero,
+                                 ext1_band, reduce_cocycle, restrict_level)
 from negcurve.ring import RingElem, RingParams
 
 
@@ -142,6 +143,82 @@ def test_reduce_cocycle_reconstruction():
             assert again == p and g_u.is_zero() and g_v.is_zero()
 
 
+# The reduction as it was before the curve layer (i = 0) went through
+# sector_split, kept verbatim as the reference together with the split it
+# called: that split rejected i = 0 terms, so the layer was placed by hand.
+ReferenceSplit = namedtuple("ReferenceSplit", "succ good prec")
+
+
+def reference_sector_split(x, j):
+    if j < 1:
+        raise ValueError("j must be a positive integer")
+    k = x.params.k
+    succ: dict = {}
+    good: dict = {}
+    prec: dict = {}
+    for (l, i), c in x.terms.items():
+        if i == 0:
+            raise ValueError("does not vanish on ell")
+        if l >= j:
+            succ[(l, i)] = c
+        elif l + j <= k * i:
+            prec[(l, i)] = c
+        else:
+            good[(l, i)] = c
+    raw = RingElem._raw
+    return ReferenceSplit(raw(x.params, succ), raw(x.params, good), raw(x.params, prec))
+
+
+def reference_reduce_cocycle(y, params):
+    j = params.j
+    lay0 = y.ell_layer()
+    for (l, _) in lay0.terms:
+        if -j < l < j:
+            raise ValueError("class does not vanish on ell")
+    rest = y - lay0
+    split = reference_sector_split(rest, j)
+    f_u = (split.succ + lay0.select(lambda l, i: l >= j)).shift(-j)
+    f_v = (split.prec + lay0.select(lambda l, i: l <= -j)).shift(j)
+    return ExtClass(params, split.good), f_u, f_v
+
+
+def outcome(reduce, y, params):
+    try:
+        p, f_u, f_v = reduce(y, params)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return (p, sorted(f_u.terms.items()), sorted(f_v.terms.items()))
+
+
+@pytest.mark.parametrize("k,j,m", [(1, 2, 3), (1, 3, 4), (2, 3, 4), (2, 2, 3), (3, 3, 3)])
+def test_reduce_cocycle_matches_reference(k, j, m):
+    # Every cocycle has i >= 1 terms in all three sectors and i = 0 terms
+    # at l >= j and l <= -j; every other one also has one with |l| < j.
+    rng = random.Random(1000 * k + 100 * j + m)
+    params = params_of(k, j, m)
+    ring = params.ring
+    errors = 0
+    for n in range(60):
+        terms = {}
+        i = rng.randint(1, m - 1)
+        terms[(rng.randint(j, j + 5), i)] = 1
+        terms[(rng.randint(k * i - j - 5, k * i - j), i)] = -2
+        i_band = rng.randint(1, params.i_cap())
+        terms[(rng.randint(k * i_band - j + 1, j - 1), i_band)] = Fraction(3, rng.randint(1, 7))
+        terms[(rng.randint(j, j + 5), 0)] = 4
+        terms[(rng.randint(-j - 5, -j), 0)] = Fraction(-5, rng.randint(1, 7))
+        if n % 2:
+            terms[(rng.randint(-j + 1, j - 1), 0)] = 6
+        for _ in range(rng.randint(0, 6)):
+            terms[(rng.randint(-j - 6, j + k * (m - 1) + 6), rng.randint(0, m - 1))] = \
+                Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        y = RingElem(ring, terms)
+        expected = outcome(reference_reduce_cocycle, y, params)
+        assert outcome(reduce_cocycle, y, params) == expected
+        errors += expected[0] == "error"
+    assert 30 <= errors < 60
+
+
 def test_class_is_zero_iff_reduction_trivial():
     rng = random.Random(5)
     params = params_of(1, 2, 3)
@@ -187,11 +264,10 @@ def test_restrict_level():
 def test_transition_matrix_shape():
     params = params_of(1, 2, 3)
     p = ExtClass.from_vector(params, [1, 0, 0])
-    t = TransitionMatrix(params, p)
-    mat = t.matrix()
+    mat = p.transition()
     assert mat.a11 == RingElem.monomial(params.ring, 2, 0)
     assert mat.a22 == RingElem.monomial(params.ring, -2, 0)
     assert mat.a12 == p.p
     assert mat.a21.is_zero()
     assert mat.det() == RingElem.one(params.ring)
-    assert (mat * t.matrix_inverse()) == type(mat).identity(params.ring)
+    assert mat * mat.inverse() == Mat2.identity(params.ring)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from negcurve.extensions import ExtClass, ModuliParams, TransitionMatrix, restrict_level
+from negcurve.extensions import ExtClass, ModuliParams, restrict_level
 from negcurve.groupoid import (CocyclePair, GroupElem, act, cocycle_matrices,
                                extract_group_elem, induced_inverse, induced_product,
                                sample_ext_class, sample_group_elem, substream,
@@ -36,7 +36,7 @@ def mobius_series(g, p):
     denom = g.d.rep - (p.p * g.c.rep).shift(-j)
     full = numer * invert_unit(denom)
     full_high = full.select(lambda l, i: i >= 1)
-    return ExtClass(params, sector_split(full_high, j).good)
+    return ExtClass(params, sector_split(full_high, j)[1])
 
 
 # -- the action ---------------------------------------------------------------
@@ -128,9 +128,7 @@ def test_pair_intertwines_exactly():
     pair = cocycle_matrices(g, p)
     assert pair.intertwines(p, q)
     assert pair.is_chart_regular()
-    t_p = TransitionMatrix(MP, p).matrix()
-    t_q = TransitionMatrix(MP, q).matrix()
-    assert pair.B * t_p == t_q * pair.A
+    assert pair.B * p.transition() == q.transition() * pair.A
 
 
 def test_pair_intertwines_with_large_c_corrections():
@@ -210,7 +208,7 @@ def test_product_at_origin_is_matrix_product():
         rng = substream(31337, idx)
         g1 = sample_group_elem(MP, rng)
         g2 = sample_group_elem(MP, rng)
-        assert induced_product(g1, g2, zero) == g1.matrix_product(g2)
+        assert induced_product(g1, g2, zero).matrix() == g1.matrix() * g2.matrix()
 
 
 def test_product_compatibility_and_pair_multiplicativity():
@@ -305,6 +303,12 @@ def test_verify_groupoid_degenerate_band():
     report = verify_groupoid(params_of(3, 1, 3), 25, 1)
     assert report["dim_W"] == 0
     assert report["all_passed"]
+
+
+@pytest.mark.parametrize("samples,truncation_samples", [(0, 0), (-3, 0), (5, -4)])
+def test_verify_groupoid_rejects_vacuous_counts(samples, truncation_samples):
+    with pytest.raises(ValueError, match="samples"):
+        verify_groupoid(params_of(1, 2, 3), samples, 0, truncation_samples=truncation_samples)
 
 
 def test_verify_groupoid_deterministic_across_workers():

@@ -304,46 +304,51 @@ def test_invert_times_original_is_one(tail, c0):
 def test_sector_split_thresholds():
     params = RingParams(1, 3)
     x = elem(params, (3, 1, 1), (1, 1, 1), (-1, 1, 1))
-    split = sector_split(x, 2)
-    assert split.succ == RingElem.monomial(params, 3, 1)
-    assert split.good == RingElem.monomial(params, 1, 1)
-    assert split.prec == RingElem.monomial(params, -1, 1)
+    succ, good, prec = sector_split(x, 2)
+    assert succ == RingElem.monomial(params, 3, 1)
+    assert good == RingElem.monomial(params, 1, 1)
+    assert prec == RingElem.monomial(params, -1, 1)
 
 
 def test_sector_split_band_only_input():
     params = RingParams(1, 3)
     x = elem(params, (0, 1, 2), (1, 1, -1), (1, 2, 3))
-    split = sector_split(x, 2)
-    assert split.succ.is_zero() and split.prec.is_zero()
-    assert split.good == x
+    succ, good, prec = sector_split(x, 2)
+    assert succ.is_zero() and prec.is_zero()
+    assert good == x
 
 
 def test_sector_split_boundary_goes_to_prec():
     # l + j = 2 <= k*i = 2 at the threshold.
     params = RingParams(1, 3)
-    split = sector_split(RingElem.monomial(params, 0, 2), 2)
-    assert split.prec == RingElem.monomial(params, 0, 2)
-    assert split.succ.is_zero() and split.good.is_zero()
+    succ, good, prec = sector_split(RingElem.monomial(params, 0, 2), 2)
+    assert prec == RingElem.monomial(params, 0, 2)
+    assert succ.is_zero() and good.is_zero()
 
 
-def test_sector_split_rejects_nonvanishing_on_ell():
-    params = RingParams(1, 3)
-    with pytest.raises(ValueError, match="vanish on ell"):
-        sector_split(RingElem.one(params), 2)
+def test_sector_split_places_zero_layer_by_the_same_thresholds():
+    # On i = 0: l >= j to succ, l <= -j to prec, |l| < j to good.
+    params = RingParams(2, 3)
+    x = elem(params, (3, 0, 1), (2, 0, 2), (1, 0, 3), (0, 0, 4), (-1, 0, 5),
+             (-2, 0, 6), (-5, 0, 7))
+    succ, good, prec = sector_split(x, 2)
+    assert succ == elem(params, (3, 0, 1), (2, 0, 2))
+    assert good == elem(params, (1, 0, 3), (0, 0, 4), (-1, 0, 5))
+    assert prec == elem(params, (-2, 0, 6), (-5, 0, 7))
 
 
 @settings(max_examples=120, deadline=None)
-@given(ring_elems(min_i=1), st.integers(1, 4))
+@given(ring_elems(), st.integers(1, 4))
 def test_sector_split_reconstruction(x, j):
-    split = sector_split(x, j)
-    assert split.succ + split.good + split.prec == x
-    assert not (set(split.succ.terms) & set(split.good.terms))
-    assert not (set(split.succ.terms) & set(split.prec.terms))
-    assert not (set(split.good.terms) & set(split.prec.terms))
+    succ, good, prec = sector_split(x, j)
+    assert succ + good + prec == x
+    assert not (set(succ.terms) & set(good.terms))
+    assert not (set(succ.terms) & set(prec.terms))
+    assert not (set(good.terms) & set(prec.terms))
     k = x.params.k
-    assert all(l >= j for (l, _) in split.succ.terms)
-    assert all(l + j <= k * i for (l, i) in split.prec.terms)
-    assert all(k * i - j + 1 <= l <= j - 1 for (l, i) in split.good.terms)
+    assert all(l >= j for (l, _) in succ.terms)
+    assert all(l + j <= k * i for (l, i) in prec.terms)
+    assert all(k * i - j + 1 <= l <= j - 1 for (l, i) in good.terms)
 
 
 # -- plus part ----------------------------------------------------------------
@@ -407,11 +412,8 @@ def test_truncate_commutes_with_splits(x, j, m_new):
     if m_new > x.params.m:
         m_new = x.params.m
     tx = truncate(x, m_new)
-    split = sector_split(x, j)
-    tsplit = sector_split(tx, j)
-    assert truncate(split.succ, m_new) == tsplit.succ
-    assert truncate(split.good, m_new) == tsplit.good
-    assert truncate(split.prec, m_new) == tsplit.prec
+    for part, tpart in zip(sector_split(x, j), sector_split(tx, j)):
+        assert truncate(part, m_new) == tpart
     assert truncate(plus_part(x), m_new) == plus_part(tx)
     assert truncate(x.v_regular_part(), m_new) == tx.v_regular_part()
 
