@@ -20,9 +20,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .extensions import ExtClass, Mat2, ModuliParams, basis_W, restrict_level
-from .ring import ConsistencyError, RingElem, RingParams, plus_part, sector_split, truncate
+from .ring import ConsistencyError, RingElem, plus_part, sector_split, truncate
 from .sections import TwistedSection, h0_basis
 
 
@@ -183,11 +184,11 @@ def act(g: GroupElem, p: ExtClass) -> ExtClass:
     return ExtClass(params, RingElem(ring, sol_terms))
 
 
-def _build_pair(g: GroupElem, p: ExtClass, target: ExtClass, check: bool) -> CocyclePair:
-    """The canonical cocycle pair of g from p to target = act(g, p)."""
-    params = g.params
+def _build_pair(g: Mat2, p: ExtClass, target: ExtClass, check: bool) -> CocyclePair:
+    """The canonical cocycle pair of g = (a, b; c, d) from p to target = g.p."""
+    params = p.params
     j = params.j
-    a_rep, b_rep, c_rep, d_rep = g.a.rep, g.b.rep, g.c.rep, g.d.rep
+    a_rep, b_rep, c_rep, d_rep = g.entries()
 
     f_plus, f_v = cech_parts(c_rep, target.p, j)
     g_plus, g_v = cech_parts(c_rep, p.p, j)
@@ -219,7 +220,7 @@ def cocycle_matrices(g: GroupElem, p: ExtClass, check: bool = True) -> CocyclePa
     With check on (the default), chart regularity and the intertwining
     identity are verified exactly before returning.
     """
-    return _build_pair(g, p, act(g, p), check)
+    return _build_pair(g.matrix(), p, act(g, p), check)
 
 
 def _global_part(x: RingElem) -> RingElem:
@@ -230,42 +231,24 @@ def _global_part(x: RingElem) -> RingElem:
 def extract_group_elem(pair: CocyclePair, p: ExtClass, p_target: ExtClass) -> GroupElem:
     """Recover the unique automorphism underlying an intertwining pair.
 
-    Splits each entry of A into its global part and the canonical Cech
-    correction recomputed from (p, p_target), and insists the residuals
-    match exactly.
+    Reads a and d as the global parts of A11 and A22 and c as A21,
+    rebuilds the canonical pair of (a, 0; c, d) from p to p_target, and
+    reads b off as the difference of the A12 entries.  A11, A22 and B11
+    must match the rebuilt ones exactly.
     """
     params = pair.params
     j = params.j
     A, B = pair.A, pair.B
-
-    c_rep = A.a21
+    a_rep, c_rep, d_rep = _global_part(A.a11), A.a21, _global_part(A.a22)
     try:
         c_sec = TwistedSection(2 * j, c_rep)
-    except ValueError as exc:
+        rebuilt = _build_pair(Mat2(a_rep, RingElem.zero(params.ring), c_rep, d_rep),
+                              p, p_target, check=False)
+        b_sec = TwistedSection(-2 * j, A.a12 - rebuilt.A.a12)
+    except (ConsistencyError, ValueError) as exc:
         raise ValueError("not a normalized cocycle pair") from exc
-
-    f_plus, _ = cech_parts(c_rep, p_target.p, j)
-    a_rep = _global_part(A.a11)
-    if A.a11 - a_rep != -f_plus:
+    if (A.a11, A.a22, B.a11) != (rebuilt.A.a11, rebuilt.A.a22, rebuilt.B.a11):
         raise ValueError("not a normalized cocycle pair")
-
-    g_plus, _ = cech_parts(c_rep, p.p, j)
-    d_rep = _global_part(A.a22)
-    if A.a22 - d_rep != g_plus:
-        raise ValueError("not a normalized cocycle pair")
-
-    r = B.a11 * p.p - p_target.p * A.a22
-    succ, good, _ = sector_split(r, j)
-    if not good.is_zero():
-        raise ValueError("not a normalized cocycle pair")
-    b_rep = A.a12 - succ.shift(-j)
-    try:
-        b_sec = TwistedSection(-2 * j, b_rep)
-    except ValueError as exc:
-        raise ValueError("not a normalized cocycle pair") from exc
-
-    if a_rep.coeff(0, 0) * d_rep.coeff(0, 0) == 0:
-        raise ValueError("not invertible")
     return GroupElem(params, TwistedSection(0, a_rep), b_sec, c_sec, TwistedSection(0, d_rep))
 
 
@@ -275,9 +258,9 @@ def induced_product(g1: GroupElem, g2: GroupElem, p: ExtClass,
     if g1.params != g2.params or g1.params != p.params:
         raise ValueError("mismatched moduli parameters")
     q = act(g2, p)
-    pair2 = _build_pair(g2, p, q, check)
+    pair2 = _build_pair(g2.matrix(), p, q, check)
     q2 = act(g1, q)
-    pair1 = _build_pair(g1, q, q2, check)
+    pair1 = _build_pair(g1.matrix(), q, q2, check)
     return extract_group_elem(pair1.compose(pair2), p, q2)
 
 
@@ -286,7 +269,7 @@ def induced_inverse(g: GroupElem, p: ExtClass, check: bool = True) -> GroupElem:
     if g.params != p.params:
         raise ValueError("mismatched moduli parameters")
     q = act(g, p)
-    pair = _build_pair(g, p, q, check)
+    pair = _build_pair(g.matrix(), p, q, check)
     return extract_group_elem(pair.inverse(), q, p)
 
 
@@ -355,7 +338,7 @@ def _check_sample(params: ModuliParams, rng: random.Random,
     out["identity_action"] = act(e, p) == p
 
     q1 = act(g1, p)
-    pair1 = _build_pair(g1, p, q1, check=False)
+    pair1 = _build_pair(g1.matrix(), p, q1, check=False)
     out["intertwining"] = pair1.is_chart_regular() and pair1.intertwines(p, q1)
     out["roundtrip"] = extract_group_elem(pair1, p, q1) == g1
 
@@ -392,22 +375,9 @@ def _check_sample(params: ModuliParams, rng: random.Random,
     return out
 
 
-def _verify_chunk(args) -> dict:
-    k, j, m, seed, start, stop, truncation_samples = args
-    params = ModuliParams(RingParams(k, m), j)
-    counts = {name: 0 for name in _FAMILIES}
-    passed = {name: 0 for name in _FAMILIES}
-    first_failure = {}
-    for idx in range(start, stop):
-        rng = substream(seed, idx)
-        results = _check_sample(params, rng, with_truncation=idx < truncation_samples)
-        for name, ok in results.items():
-            counts[name] += 1
-            if ok:
-                passed[name] += 1
-            elif name not in first_failure:
-                first_failure[name] = idx
-    return {"counts": counts, "passed": passed, "first_failure": first_failure}
+def _run_sample(params: ModuliParams, seed: int, truncation_samples: int,
+                idx: int) -> dict[str, bool]:
+    return _check_sample(params, substream(seed, idx), with_truncation=idx < truncation_samples)
 
 
 def verify_groupoid(params: ModuliParams, samples: int, seed: int,
@@ -428,31 +398,28 @@ def verify_groupoid(params: ModuliParams, samples: int, seed: int,
         raise ValueError("samples must be at least 1")
     if truncation_samples < 0:
         raise ValueError("truncation_samples must be non-negative")
+    run = partial(_run_sample, params, seed, truncation_samples)
     if workers > 1 and samples >= 2 * workers:
         # Imported here: loading the pool costs every CLI start-up, and
         # no CLI verb runs more than one worker.
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = (samples + 2 * workers - 1) // (2 * workers)
-        starts = list(range(0, samples, chunk))
-        args = [(params.k, params.j, params.m, seed, s, min(s + chunk, samples),
-                 truncation_samples) for s in starts]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            jobs = list(pool.map(_verify_chunk, args))
+            per_sample = list(pool.map(run, range(samples), chunksize=chunk))
     else:
-        jobs = [_verify_chunk((params.k, params.j, params.m, seed, 0, samples,
-                               truncation_samples))]
+        per_sample = map(run, range(samples))
 
     counts = {name: 0 for name in _FAMILIES}
     passed = {name: 0 for name in _FAMILIES}
     first_failure: dict[str, int] = {}
-    for job in jobs:
-        for name in _FAMILIES:
-            counts[name] += job["counts"][name]
-            passed[name] += job["passed"][name]
-        for name, idx in job["first_failure"].items():
-            if name not in first_failure or idx < first_failure[name]:
-                first_failure[name] = idx
+    for idx, results in enumerate(per_sample):
+        for name, ok in results.items():
+            counts[name] += 1
+            if ok:
+                passed[name] += 1
+            else:
+                first_failure.setdefault(name, idx)
 
     families = {}
     for name in _FAMILIES:

@@ -15,7 +15,8 @@ nullspace computation on them, and Hom(E_p, E_p') is counted by a
 two-step filtration: ker d1, then the c whose d2-image lies in the image
 of d1, of codimension rank [d1 | d2] - rank d1.  An independent
 brute-force solver for intertwining matrix pairs cross-checks every
-dimension.
+dimension; its system is read from B = T(p') A T(p)^-1, one image
+T(p') E T(p)^-1 per unit matrix E.
 """
 
 from __future__ import annotations
@@ -119,21 +120,19 @@ def isom_decide(p: ExtClass, p_target: ExtClass) -> GroupElem | None:
     # Both coordinate functionals are nonzero somewhere, so along the
     # curve t -> sum t^i * basis[i] their product is a nonzero polynomial
     # of degree < 2*len(basis); enough sample points must hit a unit.
-    vec = None
     for t in range(2 * len(basis) + 1):
-        cand = [Fraction(0)] * ncols
-        scale = Fraction(1)
-        for bv in basis:
-            if scale:
-                for c in range(ncols):
-                    if bv[c]:
-                        cand[c] += scale * bv[c]
-            scale *= t
-        if cand[idx_a] and cand[idx_d]:
-            vec = cand
+        weights = [t ** e for e in range(len(basis))]
+        if (sum(w * bv[idx_a] for w, bv in zip(weights, basis))
+                and sum(w * bv[idx_d] for w, bv in zip(weights, basis))):
             break
-    if vec is None:
+    else:
         raise ConsistencyError("no unit-determinant point found on the solution space")
+    vec = [Fraction(0)] * ncols
+    for w, bv in zip(weights, basis):
+        if w:
+            for c, x in enumerate(bv):
+                if x:
+                    vec[c] += w * x
 
     witness = GroupElem.from_reps(
         params, RingElem(ring, dict(zip(basis0, vec[:n0]))), RingElem.zero(ring),
@@ -213,53 +212,32 @@ def default_degree_bound(params: ModuliParams) -> int:
     return params.k * (params.m - 1) + 2 * params.j + 1
 
 
-def _hom_space(p: ExtClass, p_target: ExtClass, degree: int):
+def _hom_space(t_target: Mat2, t_source_inv: Mat2, degree: int):
     """Nullspace of the chart-regularity system for intertwining pairs.
 
     Unknowns are the coefficients of the four entries of A on monomials
-    z^l u^i with 0 <= l <= degree; the second-chart matrix
-    B = T(p') A T(p)^-1 is linear in them, and each of its monomials
-    with l > k*i must vanish.
+    z^l u^i with 0 <= l <= degree.  The second-chart matrix
+    B = T(p') A T(p)^-1 is linear in them: the unknown z^l u^i of entry e
+    contributes z^l u^i times the image T(p') E_e T(p)^-1 of the unit
+    matrix E_e.  Each monomial of B with l > k*i must vanish.
     """
-    params = p.params
-    j = params.j
-    k = params.k
-    ring = params.ring
-    monos = [(l, i) for i in range(params.m) for l in range(degree + 1)]
-    ncols = 4 * len(monos)
-
-    pp = p.p
-    ptp = p_target.p
-    pp_ptp = pp * ptp
-    one = RingElem.one(ring)
-
-    # Contribution of a unit coefficient of each A entry to each B entry.
-    # B11 = A11 + z^-j p' A21            B12 = z^2j A12 + z^j p' A22
-    # B21 = z^-2j A21                          - z^j A11 p - p p' A21
-    # B22 = A22 - z^-j A21 p
-    def contributions(entry: int, l: int, i: int):
-        if entry == 0:  # A11
-            return ((0, one.shift(l, i)), (1, pp.shift(l + j, i).scale(-1)))
-        if entry == 1:  # A12
-            return ((1, one.shift(l + 2 * j, i)),)
-        if entry == 2:  # A21
-            return ((0, ptp.shift(l - j, i)), (1, pp_ptp.shift(l, i).scale(-1)),
-                    (2, one.shift(l - 2 * j, i)), (3, pp.shift(l - j, i).scale(-1)))
-        return ((1, ptp.shift(l + j, i)), (3, one.shift(l, i)))  # A22
-
+    ring = t_target.a11.params
+    k = ring.k
+    monos = [(l, i) for i in range(ring.m) for l in range(degree + 1)]
+    zero, one = RingElem.zero(ring), RingElem.one(ring)
+    units = (Mat2(one, zero, zero, zero), Mat2(zero, one, zero, zero),
+             Mat2(zero, zero, one, zero), Mat2(zero, zero, zero, one))
     rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
-    for entry in range(4):
+    for entry, unit in enumerate(units):
+        image = [(b_entry, elem) for b_entry, elem
+                 in enumerate((t_target * unit * t_source_inv).entries()) if elem]
         base = entry * len(monos)
         for idx, (l, i) in enumerate(monos):
-            col = base + idx
-            for b_entry, elem in contributions(entry, l, i):
-                for (ll, ii), coeff in elem.terms.items():
+            for b_entry, elem in image:
+                for (ll, ii), coeff in elem.shift(l, i).terms.items():
                     if ll > k * ii:
-                        row = rows.setdefault((b_entry, ll, ii), {})
-                        row[col] = row.get(col, Fraction(0)) + coeff
-    row_list = [r for r in rows.values() if r]
-    basis = linalg.nullspace(row_list, ncols)
-    return basis, monos
+                        rows.setdefault((b_entry, ll, ii), {})[base + idx] = coeff
+    return linalg.nullspace(list(rows.values()), 4 * len(monos)), monos
 
 
 def brute_force_hom(p: ExtClass, p_target: ExtClass,
@@ -268,7 +246,8 @@ def brute_force_hom(p: ExtClass, p_target: ExtClass,
 
     Solves for matrix pairs with A supported in z-degrees 0..degree and
     requires the dimension to be unchanged at degree+1; otherwise the
-    degree bound was too small to have stabilized.
+    degree bound was too small to have stabilized.  Each pair's B is
+    T(p') A T(p)^-1, the same product the solver's system is read from.
     """
     if p.params != p_target.params:
         raise ValueError("mismatched moduli parameters")
@@ -277,15 +256,15 @@ def brute_force_hom(p: ExtClass, p_target: ExtClass,
         degree = default_degree_bound(params)
     if degree < 1:
         raise ValueError("degree bound must be at least 1")
-    basis, monos = _hom_space(p, p_target, degree)
-    basis_next, _ = _hom_space(p, p_target, degree + 1)
+    t_target = p_target.transition()
+    t_source_inv = p.transition().inverse()
+    basis, monos = _hom_space(t_target, t_source_inv, degree)
+    basis_next, _ = _hom_space(t_target, t_source_inv, degree + 1)
     if len(basis) != len(basis_next):
         raise ValueError("degree bound too small")
 
     ring = params.ring
     pairs = []
-    t_target = p_target.transition()
-    t_source_inv = p.transition().inverse()
     for vec in basis:
         entries = []
         for entry in range(4):

@@ -235,10 +235,6 @@ class RingElem:
         k = self.params.k
         return all(l <= k * i for (l, i) in self.terms)
 
-    def ell_layer(self) -> "RingElem":
-        """The i = 0 layer, i.e. the restriction to the zero section."""
-        return self.select(lambda l, i: i == 0)
-
 
 def _moved(terms: Mapping, dl: int, di: int, m: int) -> dict:
     """terms times the monomial z^dl u^di: exponents move, coefficients stay."""

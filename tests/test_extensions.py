@@ -171,7 +171,7 @@ def reference_sector_split(x, j):
 
 def reference_reduce_cocycle(y, params):
     j = params.j
-    lay0 = y.ell_layer()
+    lay0 = y.select(lambda l, i: i == 0)
     for (l, _) in lay0.terms:
         if -j < l < j:
             raise ValueError("class does not vanish on ell")

@@ -1,10 +1,12 @@
 """The corrected action, cocycle pairs, and the groupoid laws."""
 
+import multiprocessing
 from fractions import Fraction
 
 import pytest
 
-from negcurve.extensions import ExtClass, ModuliParams, restrict_level
+from negcurve import groupoid
+from negcurve.extensions import ExtClass, Mat2, ModuliParams, restrict_level
 from negcurve.groupoid import (CocyclePair, GroupElem, act, cocycle_matrices,
                                extract_group_elem, induced_inverse, induced_product,
                                sample_ext_class, sample_group_elem, substream,
@@ -102,8 +104,6 @@ def test_act_rejects_mismatched_params():
 def test_identity_pair_is_identity_matrix():
     p = ExtClass.from_vector(MP, [1, 2, 5])
     pair = cocycle_matrices(GroupElem.identity(MP), p)
-    from negcurve.extensions import Mat2
-
     assert pair.A == Mat2.identity(MP.ring)
     assert pair.B == Mat2.identity(MP.ring)
 
@@ -169,8 +169,6 @@ def test_extract_identity_and_diagonal():
 
 
 def test_extract_rejects_garbage():
-    from negcurve.extensions import Mat2
-
     ring = MP.ring
     p = ExtClass.from_vector(MP, [1, 0, 0])
     bad = CocyclePair(MP, Mat2(RingElem.one(ring), RingElem.zero(ring),
@@ -181,8 +179,6 @@ def test_extract_rejects_garbage():
 
 
 def test_extract_rejects_degenerate_determinant():
-    from negcurve.extensions import Mat2
-
     ring = MP.ring
     p = ExtClass.zero(MP)
     u = RingElem.monomial(ring, 0, 1)
@@ -190,6 +186,22 @@ def test_extract_rejects_degenerate_determinant():
                        Mat2(u, RingElem.zero(ring), RingElem.zero(ring), u))
     with pytest.raises(ValueError, match="not invertible"):
         extract_group_elem(pair, p, p)
+
+
+def test_extract_rejects_wrong_b11_at_zero_class():
+    # At p = 0 the entry B11 is multiplied by p = 0 in the band equation,
+    # so only comparing B11 itself with the canonical one catches it.
+    p = ExtClass.zero(MP)
+    u = RingElem.monomial(MP.ring, 0, 1)
+    for idx in range(10):
+        g = sample_group_elem(MP, substream(515, idx))
+        q = act(g, p)
+        pair = cocycle_matrices(g, p)
+        assert extract_group_elem(pair, p, q) == g
+        B = pair.B
+        bad = CocyclePair(MP, pair.A, Mat2(B.a11 + u, B.a12, B.a21, B.a22))
+        with pytest.raises(ValueError, match="normalized cocycle pair"):
+            extract_group_elem(bad, p, q)
 
 
 # -- induced product and inverse ----------------------------------------------
@@ -315,3 +327,31 @@ def test_verify_groupoid_deterministic_across_workers():
     a = verify_groupoid(params_of(1, 2, 3), 30, 99, truncation_samples=10, workers=1)
     b = verify_groupoid(params_of(1, 2, 3), 30, 99, truncation_samples=10, workers=2)
     assert a == b
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_verify_groupoid_reports_lowest_failing_sample(monkeypatch, workers):
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers see the patched check only when forked")
+    samples, seed, truncation_samples = 16, 5, 6
+    # With 2 workers the samples run in chunks of 4: a family that fails
+    # in several chunks reports its lowest index, not its first chunk's.
+    failing = {"associativity": {13, 6, 7}, "identity_laws": {14, 9}, "truncation": {2, 5}}
+    index_of = {substream(seed, idx).random(): idx for idx in range(samples)}
+
+    def fake_check(params, rng, with_truncation):
+        idx = index_of[rng.random()]
+        assert with_truncation == (idx < truncation_samples)
+        return {name: idx not in failing.get(name, ()) for name in groupoid._FAMILIES
+                if with_truncation or name != "truncation"}
+
+    monkeypatch.setattr(groupoid, "_check_sample", fake_check)
+    report = verify_groupoid(MP, samples, seed, truncation_samples=truncation_samples,
+                             workers=workers)
+    for name, fam in report["families"].items():
+        bad = failing.get(name, set())
+        checked = truncation_samples if name == "truncation" else samples
+        assert fam == {"checked": checked, "passed": checked - len(bad),
+                       "first_failure_sample": min(bad, default=None)}
+    assert len(report["families"]) == len(groupoid._FAMILIES)
+    assert not report["all_passed"]

@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from negcurve.extensions import ExtClass, ModuliParams, basis_W, ext1_band
-from negcurve.groupoid import (GroupElem, act, sample_ext_class, sample_group_elem,
-                               substream)
-from negcurve.homspaces import (brute_force_hom, build_linear_system, hom_ext_dims,
-                                isom_decide, spectral_differentials, witness_condition)
+from negcurve import linalg
+from negcurve.extensions import ExtClass, Mat2, ModuliParams, basis_W, ext1_band
+from negcurve.groupoid import (CocyclePair, GroupElem, act, sample_ext_class,
+                               sample_group_elem, substream)
+from negcurve.homspaces import (brute_force_hom, build_linear_system, default_degree_bound,
+                                hom_ext_dims, isom_decide, spectral_differentials,
+                                witness_condition)
 from negcurve.ring import RingElem, RingParams
-from negcurve.sections import h0_dim, h1_dim
+from negcurve.sections import h0_basis, h0_dim, h1_dim
 
 
 def params_of(k, j, m):
@@ -112,6 +114,62 @@ def test_isom_witness_verified_by_action():
         assert w is not None
         assert act(w, p) == q
         assert w.b.rep.is_zero()
+
+
+def reference_witness(p, q):
+    """The witness search as first written: at each t, every entry of every
+    nullspace vector is combined.  Returns (t, combined vector) or None.
+    """
+    cols = build_linear_system(p, q)
+    rows = [{} for _ in ext1_band(p.params)]
+    for c, col in enumerate(cols):
+        for r, v in col.items():
+            rows[r][c] = v
+    ncols = len(cols)
+    basis = linalg.nullspace(rows, ncols)
+    n0 = h0_dim(0, p.params.ring)
+    for t in range(2 * len(basis) + 1):
+        cand = [Fraction(0)] * ncols
+        scale = Fraction(1)
+        for bv in basis:
+            if scale:
+                for c in range(ncols):
+                    if bv[c]:
+                        cand[c] += scale * bv[c]
+            scale *= t
+        if cand[0] and cand[n0]:
+            return t, cand
+    return None
+
+
+# Isomorphic pairs at (1, 3, 4) where the sum of the nullspace basis has
+# a(0,0) * d(0,0) = 0, so the witness search goes on to t = 2.
+WITNESS_AT_T2 = [([0, 1, -1, 0, 0, -1, 0, -1, 1], [0, 1, -1, 0, 0, 1, -1, 0, 0]),
+                 ([-1, 0, 0, -1, 0, 1, 1, 0, 1], [-1, 0, 0, -1, 0, -1, 0, 0, -1])]
+
+
+def test_isom_witness_matches_reference_search():
+    cases = [(params_of(1, 3, 4), ec(p, params_of(1, 3, 4)), ec(q, params_of(1, 3, 4)))
+             for p, q in WITNESS_AT_T2]
+    for (k, j, m) in [(1, 2, 3), (1, 3, 4), (2, 4, 3), (1, 4, 6)]:
+        params = params_of(k, j, m)
+        for idx in range(6):
+            rng = substream(9090, 100 * k + 10 * j + m + 1000 * idx)
+            p = sample_ext_class(params, rng)
+            cases.append((params, p, act(sample_group_elem(params, rng), p)))
+    t_used = set()
+    for params, p, q in cases:
+        ring = params.ring
+        basis0, basis_c = h0_basis(0, ring), h0_basis(2 * params.j, ring)
+        n0 = len(basis0)
+        t, vec = reference_witness(p, q)
+        t_used.add(t)
+        w = isom_decide(p, q)
+        assert w.a.rep == RingElem(ring, dict(zip(basis0, vec[:n0])))
+        assert w.d.rep == RingElem(ring, dict(zip(basis0, vec[n0:2 * n0])))
+        assert w.c.rep == RingElem(ring, dict(zip(basis_c, vec[2 * n0:])))
+        assert w.b.rep.is_zero()
+    assert t_used == {1, 2}
 
 
 def test_linear_system_layout():
@@ -243,6 +301,83 @@ def test_dense_brute_force_matches_filtration(k, j, m):
     g = sample_group_elem(params, rng, max_terms=10 ** 6)
     for q in (p, act(g, p)):
         assert brute_force_hom(p, q)[0] == hom_ext_dims(p, q).dim_hom
+
+
+def reference_hom_space(p, p_target, degree):
+    """Verbatim copy of the per-entry table the brute-force system was once
+    built from: the B entries contributed by each unknown of A, written out
+    by hand.  Independent of the Mat2 products the solver uses now.
+    """
+    params = p.params
+    j = params.j
+    k = params.k
+    ring = params.ring
+    monos = [(l, i) for i in range(params.m) for l in range(degree + 1)]
+    ncols = 4 * len(monos)
+
+    pp = p.p
+    ptp = p_target.p
+    pp_ptp = pp * ptp
+    one = RingElem.one(ring)
+
+    # Contribution of a unit coefficient of each A entry to each B entry.
+    # B11 = A11 + z^-j p' A21            B12 = z^2j A12 + z^j p' A22
+    # B21 = z^-2j A21                          - z^j A11 p - p p' A21
+    # B22 = A22 - z^-j A21 p
+    def contributions(entry: int, l: int, i: int):
+        if entry == 0:  # A11
+            return ((0, one.shift(l, i)), (1, pp.shift(l + j, i).scale(-1)))
+        if entry == 1:  # A12
+            return ((1, one.shift(l + 2 * j, i)),)
+        if entry == 2:  # A21
+            return ((0, ptp.shift(l - j, i)), (1, pp_ptp.shift(l, i).scale(-1)),
+                    (2, one.shift(l - 2 * j, i)), (3, pp.shift(l - j, i).scale(-1)))
+        return ((1, ptp.shift(l + j, i)), (3, one.shift(l, i)))  # A22
+
+    rows = {}
+    for entry in range(4):
+        base = entry * len(monos)
+        for idx, (l, i) in enumerate(monos):
+            col = base + idx
+            for b_entry, elem in contributions(entry, l, i):
+                for (ll, ii), coeff in elem.terms.items():
+                    if ll > k * ii:
+                        row = rows.setdefault((b_entry, ll, ii), {})
+                        row[col] = row.get(col, Fraction(0)) + coeff
+    row_list = [r for r in rows.values() if r]
+    basis = linalg.nullspace(row_list, ncols)
+    return basis, monos
+
+
+def reference_pairs(p, q, degree):
+    basis, monos = reference_hom_space(p, q, degree)
+    ring = p.params.ring
+    t_target, t_source_inv = q.transition(), p.transition().inverse()
+    pairs = []
+    for vec in basis:
+        entries = [RingElem(ring, {mono: vec[e * len(monos) + idx]
+                                   for idx, mono in enumerate(monos)}) for e in range(4)]
+        a_mat = Mat2(*entries)
+        pairs.append(CocyclePair(p.params, a_mat, t_target * a_mat * t_source_inv))
+    return pairs
+
+
+@pytest.mark.parametrize("density", ["sparse", "dense"])
+@pytest.mark.parametrize("k,j,m", [(1, 2, 3), (1, 3, 4), (2, 4, 3), (1, 4, 6)])
+def test_brute_force_matches_reference_table(k, j, m, density):
+    params = params_of(k, j, m)
+    rng = substream(7117, 100 * k + 10 * j + m)
+    if density == "dense":
+        p = ec([Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.choice((1, 2, 3)))
+                for _ in basis_W(params)], params)
+        g = sample_group_elem(params, rng, max_terms=10 ** 6)
+    else:
+        p = sample_ext_class(params, rng)
+        g = sample_group_elem(params, rng)
+    q = act(g, p)
+    assert not p.is_zero()
+    pairs = reference_pairs(p, q, default_degree_bound(params))
+    assert brute_force_hom(p, q) == (len(pairs), pairs)
 
 
 def test_dense_profile_at_1_6_8():

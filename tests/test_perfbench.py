@@ -1,11 +1,15 @@
-"""The benchmark's tracer still finds every name it wraps."""
+"""The benchmark's tracer still finds every name it wraps, and its
+self-test still passes against the package."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 from negcurve import groupoid, homspaces, ring
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def test_tracer_installs_and_uninstalls():
@@ -24,3 +28,13 @@ def test_tracer_installs_and_uninstalls():
     assert (groupoid.act, homspaces.build_linear_system, ring.plus_part,
             ring.RingElem.__mul__) == originals
     assert homspaces.act is groupoid.act
+
+
+def test_self_test_passes():
+    # Short runs of every workload, traced call-count checks and
+    # corrupted results; about 6 s on a 2-core machine.
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "run.py"), "--self-test"],
+                          capture_output=True, text=True, timeout=300)
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert lines and lines[-1].startswith("SELF-TEST PASS:"), proc.stdout

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from negcurve.ring import RingElem, RingParams
+from negcurve.ring import RingElem, RingParams, truncate
 from negcurve.sections import TwistedSection, cone_check, h0_basis, h0_dim, h1_dim
 
 
@@ -105,20 +105,8 @@ def test_cone_check_up_to_six():
 def test_restrict_to_ell_examples():
     params = RingParams(1, 3)
     x = RingElem.constant(params, 3) + RingElem.monomial(params, 1, 1)
-    assert x.ell_layer() == RingElem.constant(params, 3)
-    assert RingElem.monomial(params, 0, 2).ell_layer().is_zero()
-
-
-def test_restrict_to_ell_is_ring_map():
-    params = RingParams(2, 3)
-    rng = random.Random(11)
-    for _ in range(30):
-        x = RingElem(params, {(rng.randint(-4, 4), rng.randint(0, 2)): rng.randint(-5, 5)
-                              for _ in range(3)})
-        y = RingElem(params, {(rng.randint(-4, 4), rng.randint(0, 2)): rng.randint(-5, 5)
-                              for _ in range(3)})
-        assert (x * y).ell_layer() == x.ell_layer() * y.ell_layer()
-        assert (x + y).ell_layer() == x.ell_layer() + y.ell_layer()
+    assert truncate(x, 1) == RingElem.constant(RingParams(1, 1), 3)
+    assert truncate(RingElem.monomial(params, 0, 2), 1).is_zero()
 
 
 def test_twisted_section_support_validation():
