@@ -16,7 +16,8 @@ from .extensions import ExtClass, ModuliParams, basis_W, reduce_cocycle, restric
 from .groupoid import (GroupElem, act, induced_inverse, induced_product,
                        verify_groupoid)
 from .homspaces import brute_force_hom, default_degree_bound, hom_ext_dims, isom_decide
-from .ring import ConsistencyError, RingParams, _as_fraction, elem_from_dict, elem_to_dict
+from .ring import (ConsistencyError, RingParams, _as_fraction, _fields, elem_from_dict,
+                   elem_to_dict)
 from .sections import cone_check, h0_basis, h0_dim, h1_dim
 
 # The largest basis or count a command may ask for: the truncation order
@@ -61,155 +62,106 @@ def _moduli_params(args) -> ModuliParams:
     return params
 
 
-def _load_payload(args) -> dict:
+def _load_payload(args, *names) -> tuple:
+    """The JSON payload's fields ``names``, in order; exactly those fields."""
     if args.payload in (None, "-"):
         text = sys.stdin.read()
     else:
         with open(args.payload, "r", encoding="utf-8") as fh:
             text = fh.read()
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"payload is not valid JSON: {exc}") from exc
+    return _fields(data, names, "payload")
 
 
 def _ext_class(data, params: ModuliParams) -> ExtClass:
     """Accept either the full envelope or a coefficient vector in basis order."""
     if isinstance(data, list):
         return ExtClass.from_vector(params, [_as_fraction(v) for v in data])
-    if isinstance(data, dict):
-        cls = ExtClass.from_dict(data)
-        if cls.params != params:
-            raise ValueError("payload parameters disagree with the flags")
-        return cls
-    raise ValueError("extension class must be a JSON object or coefficient list")
+    cls = ExtClass.from_dict(data)
+    if cls.params != params:
+        raise ValueError("payload parameters disagree with the flags")
+    return cls
 
 
-def _group_elem(data, params: ModuliParams) -> GroupElem:
-    if not isinstance(data, dict):
-        raise ValueError("group element must be a JSON object")
-    return GroupElem.from_dict(data, params)
-
-
-def _require_fields(data: dict, fields: set[str]):
-    if not isinstance(data, dict):
-        raise ValueError("payload must be a JSON object")
-    extra = set(data) - fields
-    if extra:
-        raise ValueError(f"unknown fields: {sorted(extra)}")
-    missing = fields - set(data)
-    if missing:
-        raise ValueError(f"missing fields: {sorted(missing)}")
-
-
-def _cmd_basis(args, out):
-    params = _moduli_params(args)
+def _cmd_basis(args, params):
     basis = basis_W(params)
-    _dump({"dim": len(basis), "indices": [[i, l] for (i, l) in basis]}, out)
+    return {"dim": len(basis), "indices": [[i, l] for (i, l) in basis]}
 
 
-def _cmd_reduce(args, out):
-    params = _moduli_params(args)
-    data = _load_payload(args)
-    _require_fields(data, {"y"})
-    y = elem_from_dict(data["y"])
+def _cmd_reduce(args, params):
+    y = elem_from_dict(*_load_payload(args, "y"))
     if y.params != params.ring:
         raise ValueError("payload parameters disagree with the flags")
     p, f_u, f_v = reduce_cocycle(y, params)
-    _dump({"p": p.to_dict(), "f_U": elem_to_dict(f_u), "f_V": elem_to_dict(f_v)}, out)
+    return {"p": p.to_dict(), "f_U": elem_to_dict(f_u), "f_V": elem_to_dict(f_v)}
 
 
-def _cmd_act(args, out):
-    params = _moduli_params(args)
-    data = _load_payload(args)
-    _require_fields(data, {"g", "p"})
-    result = act(_group_elem(data["g"], params), _ext_class(data["p"], params))
-    _dump(result.to_dict(), out)
+def _cmd_act(args, params):
+    g, p = _load_payload(args, "g", "p")
+    return act(GroupElem.from_dict(g, params), _ext_class(p, params)).to_dict()
 
 
-def _cmd_compose(args, out):
-    params = _moduli_params(args)
-    data = _load_payload(args)
-    _require_fields(data, {"g1", "g2", "p"})
-    result = induced_product(_group_elem(data["g1"], params),
-                             _group_elem(data["g2"], params),
-                             _ext_class(data["p"], params))
-    _dump(result.to_dict(), out)
+def _cmd_compose(args, params):
+    g1, g2, p = _load_payload(args, "g1", "g2", "p")
+    return induced_product(GroupElem.from_dict(g1, params), GroupElem.from_dict(g2, params),
+                           _ext_class(p, params)).to_dict()
 
 
-def _cmd_invert_g(args, out):
-    params = _moduli_params(args)
-    data = _load_payload(args)
-    _require_fields(data, {"g", "p"})
-    result = induced_inverse(_group_elem(data["g"], params),
-                             _ext_class(data["p"], params))
-    _dump(result.to_dict(), out)
+def _cmd_invert_g(args, params):
+    g, p = _load_payload(args, "g", "p")
+    return induced_inverse(GroupElem.from_dict(g, params), _ext_class(p, params)).to_dict()
 
 
-def _cmd_isom(args, out):
-    params = _moduli_params(args)
-    data = _load_payload(args)
-    _require_fields(data, {"p", "p_prime"})
-    witness = isom_decide(_ext_class(data["p"], params),
-                          _ext_class(data["p_prime"], params))
-    _dump({"isomorphic": witness is not None,
-           "witness": None if witness is None else witness.to_dict()}, out)
+def _cmd_isom(args, params):
+    p, p_prime = _load_payload(args, "p", "p_prime")
+    witness = isom_decide(_ext_class(p, params), _ext_class(p_prime, params))
+    return {"isomorphic": witness is not None,
+            "witness": None if witness is None else witness.to_dict()}
 
 
-def _cmd_dims(args, out):
-    params = _moduli_params(args)
-    data = _load_payload(args)
-    _require_fields(data, {"p", "p_prime"})
-    profile = hom_ext_dims(_ext_class(data["p"], params),
-                           _ext_class(data["p_prime"], params))
-    _dump(profile.to_dict(), out)
+def _cmd_dims(args, params):
+    p, p_prime = _load_payload(args, "p", "p_prime")
+    return hom_ext_dims(_ext_class(p, params), _ext_class(p_prime, params)).to_dict()
 
 
-def _cmd_bruteforce(args, out):
-    params = _moduli_params(args)
+def _cmd_bruteforce(args, params):
     degree = args.degree if args.degree is not None else default_degree_bound(params)
     # Four entries of A on the monomials z^l u^i, l <= degree + 1, i < m.
     _check_size(4 * params.m * (degree + 2), "brute-force unknown count")
-    data = _load_payload(args)
-    _require_fields(data, {"p", "p_prime"})
-    p = _ext_class(data["p"], params)
-    p_prime = _ext_class(data["p_prime"], params)
+    p, p_prime = _load_payload(args, "p", "p_prime")
+    p, p_prime = _ext_class(p, params), _ext_class(p_prime, params)
     dim, _ = brute_force_hom(p, p_prime, degree)
     profile = hom_ext_dims(p, p_prime)
     if profile.dim_hom != dim:
         raise ConsistencyError(
             f"oracle mismatch: brute force {dim} vs filtration {profile.dim_hom}")
-    _dump({"degree": degree, "dim": dim, "stabilized": True}, out)
+    return {"degree": degree, "dim": dim, "stabilized": True}
 
 
-def _cmd_check_axioms(args, out):
-    params = _moduli_params(args)
-    report = verify_groupoid(params, args.samples, args.seed,
-                             truncation_samples=args.truncation_samples)
-    _dump(report, out)
+def _cmd_check_axioms(args, params):
+    return verify_groupoid(params, args.samples, args.seed,
+                           truncation_samples=args.truncation_samples)
 
 
-def _cmd_cohomology(args, out):
-    params = _ring_params(args)
+def _cmd_cohomology(args, params):
     _check_size(params.m, "truncation order m")
     _check_size(h0_dim(args.s, params), "h0 basis size")
     basis = h0_basis(args.s, params)
-    _dump({"s": args.s, "h0_dim": len(basis), "h0_basis": [[l, i] for (l, i) in basis],
-           "h1_dim": h1_dim(args.s, params)}, out)
+    return {"s": args.s, "h0_dim": len(basis), "h0_basis": [[l, i] for (l, i) in basis],
+            "h1_dim": h1_dim(args.s, params)}
 
 
-def _cmd_cone_check(args, out):
-    params = _ring_params(args)
+def _cmd_cone_check(args, params):
     _check_size(params.k * (params.k - 1) // 2, "cone relation count")
-    _dump(cone_check(params.k, params.m), out)
+    return cone_check(params.k, params.m)
 
 
-def _cmd_restrict(args, out):
-    params = _moduli_params(args)
-    data = _load_payload(args)
-    _require_fields(data, {"p"})
-    p = _ext_class(data["p"], params)
-    _dump(restrict_level(p, args.to).to_dict(), out)
+def _cmd_restrict(args, params):
+    p, = _load_payload(args, "p")
+    return restrict_level(_ext_class(p, params), args.to).to_dict()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="JSON file, or '-'/omitted for stdin")
         for name_, kwargs in extra:
             sp.add_argument(name_, **kwargs)
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn, needs_j=needs_j)
         return sp
 
     add("basis", _cmd_basis)
@@ -258,11 +210,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Every verb maps (args, params) to its answer, printed once here.
+        params = _moduli_params(args) if args.needs_j else _ring_params(args)
+        result = args.fn(args, params)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as out:
-                args.fn(args, out)
+                _dump(result, out)
         else:
-            args.fn(args, sys.stdout)
+            _dump(result, sys.stdout)
     except ConsistencyError as exc:
         print(f"negcurve: internal consistency violation: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import (RingElem, RingParams, elem_from_dict, elem_to_dict, invert_unit,
+from .ring import (RingElem, RingParams, _fields, elem_from_dict, elem_to_dict, invert_unit,
                    sector_split, truncate)
 
 
@@ -122,12 +122,9 @@ class ExtClass:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExtClass":
-        if not isinstance(data, dict):
-            raise ValueError("extension class must be a JSON object")
-        if "j" not in data:
-            raise ValueError("missing field 'j'")
-        rep = elem_from_dict({key: v for key, v in data.items() if key != "j"})
-        return cls(ModuliParams(rep.params, data["j"]), rep)
+        k, m, terms, j = _fields(data, ("k", "m", "terms", "j"), "extension class")
+        rep = elem_from_dict({"k": k, "m": m, "terms": terms})
+        return cls(ModuliParams(rep.params, j), rep)
 
 
 def reduce_cocycle(y: RingElem, params: ModuliParams) -> tuple[ExtClass, RingElem, RingElem]:

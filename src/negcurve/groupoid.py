@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import partial
 
 from .extensions import ExtClass, Mat2, ModuliParams, basis_W, restrict_level
-from .ring import ConsistencyError, RingElem, plus_part, sector_split, truncate
+from .ring import ConsistencyError, RingElem, _fields, plus_part, sector_split, truncate
 from .sections import TwistedSection, h0_basis
 
 
@@ -102,14 +102,8 @@ class GroupElem:
 
     @classmethod
     def from_dict(cls, data: dict, params: ModuliParams) -> "GroupElem":
-        extra = set(data) - {"a", "b", "c", "d"}
-        if extra:
-            raise ValueError(f"unknown fields: {sorted(extra)}")
-        try:
-            secs = {name: TwistedSection.from_dict(data[name]) for name in "abcd"}
-        except KeyError as exc:
-            raise ValueError(f"missing field {exc}") from exc
-        return cls(params, secs["a"], secs["b"], secs["c"], secs["d"])
+        secs = _fields(data, "abcd", "group element")
+        return cls(params, *(TwistedSection.from_dict(sec) for sec in secs))
 
 
 @dataclass(frozen=True)
@@ -165,7 +159,7 @@ def act(g: GroupElem, p: ExtClass) -> ExtClass:
     i_cap = params.i_cap()
     a_rep, d_rep, c_rep = g.a.rep, g.d.rep, g.c.rep
     d00 = d_rep.coeff(0, 0)
-    g_plus, _ = cech_parts(c_rep, p.p, j)
+    a22 = d_rep + cech_parts(c_rep, p.p, j)[0]
     residual = a_rep * p.p
     sol_terms: dict[tuple[int, int], Fraction] = {}
     for i in range(1, i_cap + 1):
@@ -180,7 +174,8 @@ def act(g: GroupElem, p: ExtClass) -> ExtClass:
         sol_terms.update(layer_terms)
         # Knock out this layer's band and propagate to higher u-orders.
         _, f_delta = cech_parts(c_rep, delta, j)
-        residual = residual - d_rep * delta - g_plus * delta + f_delta * p.p
+        residual = residual - a22 * delta + f_delta * p.p
+    # The final residual is the r = B11 p - p' A22 that _build_pair splits.
     return ExtClass(params, RingElem(ring, sol_terms))
 
 

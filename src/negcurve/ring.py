@@ -21,6 +21,7 @@ moves exponents.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -45,17 +46,23 @@ class RingParams:
             raise ValueError("m must be a positive integer")
 
 
-def _as_fraction(c) -> Fraction:
-    """An exact rational from a Fraction, an int or an 'n/d' string.
+_EXACT_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
-    Booleans and floats are rejected, so JSON input stays exact and is
-    never echoed back in another type.
+
+def _as_fraction(c) -> Fraction:
+    """An exact rational from a Fraction, an int or an 'n' or 'n/d' string.
+
+    Booleans, floats and other strings (exponents, decimals, spaces) are
+    rejected, so JSON input stays exact, is never echoed back in another
+    type, and a short string cannot stand for a huge number.
     """
     if isinstance(c, Fraction):
         return c
     if type(c) is int:
         return Fraction(c)
     if isinstance(c, str):
+        if not _EXACT_STRING.fullmatch(c):
+            raise ValueError(f"coefficient string must be 'n' or 'n/d', got {c[:40]!r}")
         try:
             return Fraction(c)
         except ZeroDivisionError as exc:
@@ -349,34 +356,35 @@ def elem_to_dict(x: RingElem) -> dict:
     }
 
 
-def elem_from_dict(data: dict) -> RingElem:
-    """Parse the JSON form written by elem_to_dict, rejecting inexact input."""
+def _fields(data, names, what: str) -> tuple:
+    """The values of exactly the fields ``names`` of a JSON object, in order."""
     if not isinstance(data, dict):
-        raise ValueError("ring element must be a JSON object")
-    extra = set(data) - {"k", "m", "terms"}
+        raise ValueError(f"{what} must be a JSON object")
+    extra = set(data) - set(names)
     if extra:
         raise ValueError(f"unknown fields: {sorted(extra)}")
-    try:
-        params = RingParams(data["k"], data["m"])
-        if not isinstance(data["terms"], list):
-            raise ValueError("terms must be a JSON list")
-        terms = {}
-        for t in data["terms"]:
-            if not isinstance(t, dict):
-                raise ValueError("each term must be a JSON object")
-            t_extra = set(t) - {"l", "i", "num", "den"}
-            if t_extra:
-                raise ValueError(f"unknown fields: {sorted(t_extra)}")
-            key = (t["l"], t["i"])
-            if type(key[0]) is not int or type(key[1]) is not int:
-                raise ValueError("term exponents must be integers")
-            if type(t["num"]) is not int or type(t["den"]) is not int:
-                raise ValueError("coefficients must be exact integers num/den")
-            if t["den"] == 0:
-                raise ValueError("zero denominator")
-            if key in terms:
-                raise ValueError(f"duplicate term {key}")
-            terms[key] = Fraction(t["num"], t["den"])
-    except KeyError as exc:
-        raise ValueError(f"missing field {exc}") from exc
+    missing = set(names) - set(data)
+    if missing:
+        raise ValueError(f"missing fields: {sorted(missing)}")
+    return tuple(data[name] for name in names)
+
+
+def elem_from_dict(data: dict) -> RingElem:
+    """Parse the JSON form written by elem_to_dict, rejecting inexact input."""
+    k, m, term_list = _fields(data, ("k", "m", "terms"), "ring element")
+    params = RingParams(k, m)
+    if not isinstance(term_list, list):
+        raise ValueError("terms must be a JSON list")
+    terms = {}
+    for t in term_list:
+        l, i, num, den = _fields(t, ("l", "i", "num", "den"), "each term")
+        if type(l) is not int or type(i) is not int:
+            raise ValueError("term exponents must be integers")
+        if type(num) is not int or type(den) is not int:
+            raise ValueError("coefficients must be exact integers num/den")
+        if den == 0:
+            raise ValueError("zero denominator")
+        if (l, i) in terms:
+            raise ValueError(f"duplicate term {(l, i)}")
+        terms[(l, i)] = Fraction(num, den)
     return RingElem(params, terms)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import RingElem, RingParams, elem_from_dict, elem_to_dict
+from .ring import RingElem, RingParams, _fields, elem_from_dict, elem_to_dict
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,8 @@ class TwistedSection:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TwistedSection":
-        if not isinstance(data, dict):
-            raise ValueError("section must be a JSON object")
-        if "s" not in data:
-            raise ValueError("missing field 's'")
-        return cls(data["s"], elem_from_dict({key: v for key, v in data.items() if key != "s"}))
+        k, m, terms, s = _fields(data, ("k", "m", "terms", "s"), "section")
+        return cls(s, elem_from_dict({"k": k, "m": m, "terms": terms}))
 
 
 def h0_basis(s: int, params: RingParams) -> list[tuple[int, int]]:

@@ -3,10 +3,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from negcurve import cli
+from negcurve.extensions import ExtClass, ModuliParams
+from negcurve.groupoid import GroupElem
+from negcurve.ring import RingParams, elem_from_dict
+from negcurve.sections import TwistedSection
 
 CMD = [sys.executable, "-m", "negcurve.cli"]
 
@@ -168,6 +173,73 @@ def test_exit_code_on_malformed_payload():
                    json.dumps({"p": [1, 2, 5], "p_prime": [3, 6, 0], "junk": 1}))
     assert proc.returncode == 1
     assert "unknown fields" in proc.stderr
+
+
+def test_exponent_coefficient_string_exits_1_quickly():
+    # Fraction("1e99999999") alone would build a 330M-bit numerator.
+    payload = json.dumps({"p": ["1e99999999", 0, 0], "p_prime": [0, 0, 0]})
+    proc = subprocess.run(CMD + ["isom", "--k", "1", "--j", "2", "--m", "3"], input=payload,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
+# -- one rule for every JSON object: exactly its fields, or ValueError / exit 1 ----
+
+_IDENTITY = {
+    "a": {"k": 1, "m": 3, "s": 0, "terms": [{"l": 0, "i": 0, "num": 1, "den": 1}]},
+    "b": {"k": 1, "m": 3, "s": -4, "terms": []},
+    "c": {"k": 1, "m": 3, "s": 4, "terms": []},
+    "d": {"k": 1, "m": 3, "s": 0, "terms": [{"l": 0, "i": 0, "num": 1, "den": 1}]},
+}
+
+
+def _cli_isom(data):
+    proc = run_cli(["isom", "--k", "1", "--j", "2", "--m", "3"], json.dumps(data))
+    assert "Traceback" not in proc.stderr
+    if proc.returncode != 0:
+        assert proc.returncode == 1 and proc.stdout == ""
+        raise ValueError(proc.stderr)
+
+
+_READERS = {
+    "elem_from_dict": (elem_from_dict, {"k": 1, "m": 3, "terms": []}),
+    "TwistedSection.from_dict": (TwistedSection.from_dict,
+                                 {"k": 1, "m": 3, "terms": [], "s": 0}),
+    "ExtClass.from_dict": (ExtClass.from_dict, {"k": 1, "m": 3, "terms": [], "j": 2}),
+    "GroupElem.from_dict": (lambda data: GroupElem.from_dict(
+        data, ModuliParams(RingParams(1, 3), 2)), _IDENTITY),
+    "cli payload": (_cli_isom, {"p": [0, 0, 0], "p_prime": [0, 0, 0]}),
+}
+
+
+@pytest.mark.parametrize("case", ["list", "string", "unknown field", "missing field"])
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_every_json_reader_takes_exactly_its_fields(reader, case):
+    read, valid = _READERS[reader]
+    read(valid)
+    bad = {"list": list(valid), "string": "".join(valid),
+           "unknown field": dict(valid, extra=0),
+           "missing field": dict(list(valid.items())[:-1])}[case]
+    with pytest.raises(ValueError):
+        read(bad)
+
+
+def test_golden_corpus_stdout_and_exit_codes():
+    """Every case's stdout and exit code, byte for byte, as the CLI printed them.
+
+    tests/data/cli_golden.json holds the criterion-8 corpus, the malformed
+    inputs above and one case per JSON object and failure, each with the
+    stdout and exit code captured from ``python -m negcurve.cli``.
+    """
+    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+    changed = []
+    for case in golden:
+        proc = run_cli(case["argv"], case["stdin"] or "")
+        if ((proc.returncode, proc.stdout) != (case["code"], case["stdout"])
+                or "Traceback" in proc.stderr):
+            changed.append(case["name"])
+    assert len(golden) == 64 and changed == []
 
 
 @pytest.mark.parametrize("field", ["l", "num"])

@@ -453,7 +453,7 @@ def test_json_rejects_boolean_params_and_zero_denominator():
 def test_rational_parser():
     assert _as_fraction(3) == Fraction(3)
     assert _as_fraction("-2/6") == Fraction(-1, 3)
-    for bad in (True, False, 0.5, None, "1/0", "x"):
+    for bad in (True, False, 0.5, None, "1/0", "x", "1e5", "1.5", " 1/2"):
         with pytest.raises(ValueError):
             _as_fraction(bad)
 
