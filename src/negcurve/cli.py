@@ -73,6 +73,8 @@ def _load_payload(args, *names) -> tuple:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"payload is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError("payload nests too deeply") from exc
     return _fields(data, names, "payload")
 
 

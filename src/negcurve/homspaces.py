@@ -10,19 +10,21 @@ where (.)_V keeps the second-chart-regular monomials and (.)_+ the
 rest.  On the band the obstruction is minus [d1 | d2] applied to the
 coefficients of (a, d, c), where d1(a, d) is the class of d*p' - a*p and
 d2(c) that of (z^-j c p)_+ p' - (z^-j c p')_V p.  ``build_linear_system``
-builds these columns once.  The isomorphism decision is an exact
-nullspace computation on them, and Hom(E_p, E_p') is counted by a
-two-step filtration: ker d1, then the c whose d2-image lies in the image
-of d1, of codimension rank [d1 | d2] - rank d1.  An independent
-brute-force solver for intertwining matrix pairs cross-checks every
-dimension; its system is read from B = T(p') A T(p)^-1, one image
-T(p') E T(p)^-1 per unit matrix E.
+builds this matrix once, one sparse row per band monomial.  The
+isomorphism decision is an exact nullspace computation on those rows,
+and Hom(E_p, E_p') is counted by a two-step filtration: ker d1, then the
+c whose d2-image lies in the image of d1, of codimension
+rank [d1 | d2] - rank d1; one echelon form of the rows gives both ranks.
+An independent brute-force solver for intertwining matrix pairs
+cross-checks every dimension; its system is read from
+B = T(p') A T(p)^-1, one image T(p') E T(p)^-1 per unit matrix E.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import linalg
 from .extensions import ExtClass, Mat2, ModuliParams, class_is_zero, ext1_band
@@ -60,32 +62,27 @@ def witness_condition(g: GroupElem, p: ExtClass, p_target: ExtClass) -> bool:
 
 
 def build_linear_system(p: ExtClass, p_target: ExtClass) -> list[dict[int, Fraction]]:
-    """The band columns of [d1 | d2], each a sparse map band row -> coefficient.
+    """The band rows of [d1 | d2], each a sparse map unknown -> coefficient.
 
-    Columns follow the unknowns: the a-basis, then the d-basis (both
-    h0_basis(0)), then the c-basis (h0_basis(2j)).  Rows are indices
-    into ext1_band.
+    One row per monomial of ext1_band.  The unknowns are the a-basis, the
+    d-basis (both h0_basis(0)), then the c-basis (h0_basis(2j)), in order.
     """
     if p.params != p_target.params:
         raise ValueError("mismatched moduli parameters")
-    params = p.params
-    ring = params.ring
-    band_index = {li: r for r, li in enumerate(ext1_band(params))}
-
-    def column(elem: RingElem) -> dict[int, Fraction]:
-        col = {}
+    ring = p.params.ring
+    band_index = {li: r for r, li in enumerate(ext1_band(p.params))}
+    # Each image is made when its unknown is read, so none outlives its row entries.
+    images = chain((-p.p.shift(l, i) for (l, i) in h0_basis(0, ring)),
+                   (p_target.p.shift(l, i) for (l, i) in h0_basis(0, ring)),
+                   (_c_differential(RingElem.monomial(ring, l, i), p, p_target)
+                    for (l, i) in h0_basis(2 * p.params.j, ring)))
+    rows: list[dict[int, Fraction]] = [{} for _ in band_index]
+    for unknown, elem in enumerate(images):
         for (l, i), coeff in elem.terms.items():
             r = band_index.get((i, l))
             if r is not None:
-                col[r] = coeff
-        return col
-
-    basis0 = h0_basis(0, ring)
-    cols = [column(-p.p.shift(l, i)) for (l, i) in basis0]
-    cols += [column(p_target.p.shift(l, i)) for (l, i) in basis0]
-    cols += [column(_c_differential(RingElem.monomial(ring, l, i), p, p_target))
-             for (l, i) in h0_basis(2 * params.j, ring)]
-    return cols
+                rows[r][unknown] = coeff
+    return rows
 
 
 def isom_decide(p: ExtClass, p_target: ExtClass) -> GroupElem | None:
@@ -98,19 +95,15 @@ def isom_decide(p: ExtClass, p_target: ExtClass) -> GroupElem | None:
     vectors settle it.  A found witness (with b = 0) is verified by
     applying the action before it is returned.
     """
-    cols = build_linear_system(p, p_target)
     params = p.params
-    rows: list[dict[int, Fraction]] = [{} for _ in ext1_band(params)]
-    for c, col in enumerate(cols):
-        for r, v in col.items():
-            rows[r][c] = v
-    ncols = len(cols)
-    basis = linalg.nullspace(rows, ncols)
-    if not basis:
-        return None
     ring = params.ring
     basis0 = h0_basis(0, ring)
+    basis_c = h0_basis(2 * params.j, ring)
     n0 = len(basis0)
+    ncols = 2 * n0 + len(basis_c)
+    basis = linalg.nullspace(build_linear_system(p, p_target), ncols)
+    if not basis:
+        return None
     # h0_basis(0) starts at (0, 0), so a(0,0) and d(0,0) are the first
     # a- and d-unknowns.
     idx_a, idx_d = 0, n0
@@ -136,7 +129,7 @@ def isom_decide(p: ExtClass, p_target: ExtClass) -> GroupElem | None:
 
     witness = GroupElem.from_reps(
         params, RingElem(ring, dict(zip(basis0, vec[:n0]))), RingElem.zero(ring),
-        RingElem(ring, dict(zip(h0_basis(2 * params.j, ring), vec[2 * n0:]))),
+        RingElem(ring, dict(zip(basis_c, vec[2 * n0:]))),
         RingElem(ring, dict(zip(basis0, vec[n0:2 * n0]))))
     if act(witness, p) != p_target:
         raise ConsistencyError("isomorphism witness fails to act correctly")
@@ -149,11 +142,17 @@ def isom_decide(p: ExtClass, p_target: ExtClass) -> GroupElem | None:
 def spectral_differentials(p: ExtClass, p_target: ExtClass) -> tuple[int, int]:
     """The ranks of d1 and of d2 modulo the image of d1.
 
-    The second is the quotient rank rank [d1 | d2] - rank d1.
+    The second is the quotient rank rank [d1 | d2] - rank d1.  Both are
+    read from one echelon form of the band rows: row operations keep the
+    linear relations among columns and each pivot row is keyed by its
+    leading column, so the first n columns have rank equal to the number
+    of pivots below n.  rank d1 counts the pivots among the 2*h0(0)
+    (a, d)-columns, rank [d1 | d2] all of them.
     """
-    cols = build_linear_system(p, p_target)
-    rank_d1 = linalg.rank(cols[:2 * h0_dim(0, p.params.ring)])
-    return rank_d1, linalg.rank(cols) - rank_d1
+    pivots = linalg.echelon(build_linear_system(p, p_target))
+    n_ad = 2 * h0_dim(0, p.params.ring)
+    rank_d1 = sum(1 for c in pivots if c < n_ad)
+    return rank_d1, len(pivots) - rank_d1
 
 
 @dataclass(frozen=True)
@@ -173,13 +172,7 @@ class HomProfile:
             raise ConsistencyError("negative Ext dimension")
 
     def to_dict(self) -> dict:
-        return {
-            "dim_hom": self.dim_hom,
-            "dim_ext1": self.dim_ext1,
-            "dim_ker_d1": self.dim_ker_d1,
-            "dim_ker_d2": self.dim_ker_d2,
-            "dim_hom_L2L1": self.dim_hom_L2L1,
-        }
+        return asdict(self)
 
 
 def hom_ext_dims(p: ExtClass, p_target: ExtClass) -> HomProfile:
@@ -264,18 +257,10 @@ def brute_force_hom(p: ExtClass, p_target: ExtClass,
         raise ValueError("degree bound too small")
 
     ring = params.ring
+    n = len(monos)
     pairs = []
     for vec in basis:
-        entries = []
-        for entry in range(4):
-            terms = {}
-            base = entry * len(monos)
-            for idx, (l, i) in enumerate(monos):
-                coeff = vec[base + idx]
-                if coeff:
-                    terms[(l, i)] = coeff
-            entries.append(RingElem(ring, terms))
-        a_mat = Mat2(*entries)
-        b_mat = t_target * a_mat * t_source_inv
-        pairs.append(CocyclePair(params, a_mat, b_mat))
+        a_mat = Mat2(*(RingElem._raw(ring, {mono: c for mono, c in zip(monos, vec[e * n:]) if c})
+                       for e in range(4)))
+        pairs.append(CocyclePair(params, a_mat, t_target * a_mat * t_source_inv))
     return len(basis), pairs

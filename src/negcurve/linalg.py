@@ -75,10 +75,6 @@ def echelon(rows: list[dict]) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def rank(rows: list[dict]) -> int:
-    return len(echelon(rows))
-
-
 def nullspace(rows: list[dict], ncols: int) -> list[list[Fraction]]:
     """A basis of the right nullspace, one dense vector per free column.
 

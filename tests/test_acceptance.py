@@ -206,6 +206,12 @@ def test_criterion_5_dimension_oracle_equivalence():
                 rng = substream(SEED + 5, k * 100 + j * 10 + m)
                 cases.append((sample_ext_class(params, rng), sample_ext_class(params, rng)))
                 pp = sample_ext_class(params, rng)
+                # One full p and one full q: every band coefficient nonzero.
+                rng = substream(SEED + 50, k * 100 + j * 10 + m)
+                full_p, full_q = (ExtClass.from_vector(params, [
+                    Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.choice((1, 2, 3)))
+                    for _ in basis_W(params)]) for _ in range(2))
+                cases += [(full_p, full_p), (full_p, full_q)]
             else:
                 cases = []
                 pp = ExtClass.from_vector(params, vec)
@@ -223,8 +229,8 @@ def test_criterion_5_dimension_oracle_equivalence():
                 break
     elapsed = time.time() - t0
     report_line(5, "Hom dimensions vs brute force", ok,
-                detail or f"grid of {len(GRID)} tuples and {len(HOM_REGRESSIONS)} "
-                f"regression classes, {elapsed:.1f}s")
+                detail or f"grid of {len(GRID)} tuples with full classes and "
+                f"{len(HOM_REGRESSIONS)} regression classes, {elapsed:.1f}s")
 
 
 def test_criterion_6_cohomology():

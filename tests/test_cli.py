@@ -184,6 +184,17 @@ def test_exponent_coefficient_string_exits_1_quickly():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"g":' * 50_000], ids=["array", "object"])
+def test_deeply_nested_payload_exits_1(text, tmp_path):
+    # json.loads recurses once per level and raises RecursionError here.
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    proc = run_cli(["act", "--k", "1", "--j", "2", "--m", "3", str(path)])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "nests too deeply" in proc.stderr
+
+
 # -- one rule for every JSON object: exactly its fields, or ValueError / exit 1 ----
 
 _IDENTITY = {

@@ -9,8 +9,8 @@ from negcurve.extensions import ExtClass, Mat2, ModuliParams, basis_W, ext1_band
 from negcurve.groupoid import (CocyclePair, GroupElem, act, sample_ext_class,
                                sample_group_elem, substream)
 from negcurve.homspaces import (brute_force_hom, build_linear_system, default_degree_bound,
-                                hom_ext_dims, isom_decide, spectral_differentials,
-                                witness_condition)
+                                hom_ext_dims, isom_decide, obstruction,
+                                spectral_differentials, witness_condition)
 from negcurve.ring import RingElem, RingParams
 from negcurve.sections import h0_basis, h0_dim, h1_dim
 
@@ -120,14 +120,10 @@ def reference_witness(p, q):
     """The witness search as first written: at each t, every entry of every
     nullspace vector is combined.  Returns (t, combined vector) or None.
     """
-    cols = build_linear_system(p, q)
-    rows = [{} for _ in ext1_band(p.params)]
-    for c, col in enumerate(cols):
-        for r, v in col.items():
-            rows[r][c] = v
-    ncols = len(cols)
-    basis = linalg.nullspace(rows, ncols)
-    n0 = h0_dim(0, p.params.ring)
+    ring = p.params.ring
+    n0 = h0_dim(0, ring)
+    ncols = 2 * n0 + h0_dim(2 * p.params.j, ring)
+    basis = linalg.nullspace(build_linear_system(p, q), ncols)
     for t in range(2 * len(basis) + 1):
         cand = [Fraction(0)] * ncols
         scale = Fraction(1)
@@ -174,32 +170,98 @@ def test_isom_witness_matches_reference_search():
 
 def test_linear_system_layout():
     p = ec([1, 0, 0])
-    cols = build_linear_system(p, p)
+    rows = build_linear_system(p, p)
     ring = MP.ring
-    assert len(cols) == 2 * h0_dim(0, ring) + h0_dim(4, ring) == 6 + 6 + 18
     band = ext1_band(MP)
-    assert all(0 <= r < len(band) for col in cols for r in col)
-    assert all(v != 0 for col in cols for v in col.values())
+    ncols = 2 * h0_dim(0, ring) + h0_dim(4, ring)
+    assert len(rows) == len(band) and ncols == 6 + 6 + 18
+    assert all(0 <= c < ncols for row in rows for c in row)
+    assert all(v != 0 for row in rows for v in row.values())
+    assert all(list(row) == sorted(row) for row in rows)
     # The a(0,0) column is the band class of -p, the d(0,0) column that of p.
-    assert cols[0] == {band.index((1, 0)): -1}
-    assert cols[6] == {band.index((1, 0)): 1}
+    assert [row.get(0) for row in rows] == [-1 if il == (1, 0) else None for il in band]
+    assert [row.get(6) for row in rows] == [1 if il == (1, 0) else None for il in band]
+
+
+def test_linear_system_is_minus_the_band_obstruction():
+    # Row r applied to the coefficients of (a, d, c) is minus the band
+    # coefficient r of obstruction(a, d, c): every unknown's index and
+    # sign is pinned, block by block.
+    for (k, j, m) in [(1, 2, 3), (1, 3, 4), (2, 4, 3)]:
+        params = params_of(k, j, m)
+        ring = params.ring
+        basis0, basis_c = h0_basis(0, ring), h0_basis(2 * j, ring)
+        for idx in range(4):
+            rng = substream(5150, 100 * k + 10 * j + m + 1000 * idx)
+            p = sample_ext_class(params, rng, max_terms=1 + 4 * idx)
+            q = sample_ext_class(params, rng, max_terms=1 + 4 * idx)
+            x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                 for _ in range(2 * len(basis0) + len(basis_c))]
+            a, d, c = (RingElem(ring, dict(zip(b, xs))) for b, xs in
+                       ((basis0, x[:len(basis0)]), (basis0, x[len(basis0):2 * len(basis0)]),
+                        (basis_c, x[2 * len(basis0):])))
+            obs = obstruction(a, d, c, p, q)
+            image = [sum((v * x[u] for u, v in row.items()), Fraction(0))
+                     for row in build_linear_system(p, q)]
+            assert image == [-obs.coeff(l, i) for (i, l) in ext1_band(params)]
 
 
 # -- spectral differentials and dimensions ---------------------------------------
 
 def test_differentials_vanish_for_split_bundles():
     zero = ExtClass.zero(MP)
-    assert all(not col for col in build_linear_system(zero, zero))
+    assert all(not row for row in build_linear_system(zero, zero))
     assert spectral_differentials(zero, zero) == (0, 0)
 
 
 def test_identity_endomorphism_in_kernel():
     p = ec([1, 2, 5])
-    cols = build_linear_system(p, p)
+    rows = build_linear_system(p, p)
     n0 = h0_dim(0, MP.ring)
     # the pair (a, d) = (1, 1) maps to the class of p - p = 0
-    image = {r: cols[0].get(r, 0) + cols[n0].get(r, 0) for r in set(cols[0]) | set(cols[n0])}
-    assert cols[0] and all(v == 0 for v in image.values())
+    assert any(0 in row for row in rows)
+    assert all(row.get(0, 0) + row.get(n0, 0) == 0 for row in rows)
+
+
+def reference_spectral_differentials(p, q):
+    """The two-rank computation as first written, on the columns of the
+    band matrix: rank d1 from the (a, d)-columns alone, then rank [d1 | d2]
+    from all of them, one elimination each.
+    """
+    rows = build_linear_system(p, q)
+    ring = p.params.ring
+    cols = [{} for _ in range(2 * h0_dim(0, ring) + h0_dim(2 * p.params.j, ring))]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            cols[c][r] = v
+    rank_d1 = len(linalg.echelon(cols[:2 * h0_dim(0, p.params.ring)]))
+    return rank_d1, len(linalg.echelon(cols)) - rank_d1
+
+
+def test_spectral_differentials_match_column_reference():
+    cases = []
+    for (k, j, m) in [(1, 2, 3), (1, 3, 4), (2, 4, 3), (1, 4, 6), (2, 3, 4)]:
+        params = params_of(k, j, m)
+        width = len(basis_W(params))
+        rng = substream(2718, 100 * k + 10 * j + m)
+        sparse = [sample_ext_class(params, rng) for _ in range(3)]
+        two_term = [ec([1 if t in (s, s + 1) else 0 for t in range(width)], params)
+                    for s in range(width - 1)]
+        dense = [ec([Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.choice((1, 2, 3)))
+                     for _ in range(width)], params) for _ in range(2)]
+        g = sample_group_elem(params, rng, max_terms=10 ** 6)
+        cases += [(p, q) for p in sparse + two_term + dense for q in (p, sparse[0])]
+        cases += [(p, act(g, p)) for p in dense]
+    params = params_of(1, 6, 8)
+    n = len(basis_W(params))
+    p = ec([1 + t % 3 for t in range(n)], params)
+    cases += [(p, p), (p, ec([(-1) ** t * (1 + t % 4) for t in range(n)], params))]
+    seen = set()
+    for p, q in cases:
+        ranks = spectral_differentials(p, q)
+        assert ranks == reference_spectral_differentials(p, q)
+        seen.add(ranks)
+    assert len(seen) > 10
 
 
 def test_anchored_split_dimensions():
@@ -301,6 +363,55 @@ def test_dense_brute_force_matches_filtration(k, j, m):
     g = sample_group_elem(params, rng, max_terms=10 ** 6)
     for q in (p, act(g, p)):
         assert brute_force_hom(p, q)[0] == hom_ext_dims(p, q).dim_hom
+
+
+def brute_force_isomorphic(p, q):
+    """Whether E_p and E_q are isomorphic, read off the brute-force Hom basis.
+
+    det A = det B is a global function, so a pair is an isomorphism
+    exactly when the (0, 0) coefficient of det A is nonzero.  On
+    combinations sum x_i v_i of the basis pairs that coefficient is the
+    quadratic form x^T (a11 a22^T - a12 a21^T) x, where a_e lists the
+    (0, 0) coefficients of entry e of A over the basis.  Over QQ a
+    quadratic form has a nonzero value exactly when its symmetric part
+    is nonzero.
+    """
+    _, pairs = brute_force_hom(p, q)
+    a11, a12, a21, a22 = ([pair.A.entries()[e].coeff(0, 0) for pair in pairs] for e in range(4))
+    n = len(pairs)
+    form = [[a11[r] * a22[c] - a12[r] * a21[c] for c in range(n)] for r in range(n)]
+    return any(form[r][c] + form[c][r] for r in range(n) for c in range(n))
+
+
+def test_isom_verdicts_match_brute_force_determinant():
+    verdicts = []
+    for (k, j, m) in [(1, 2, 3), (1, 3, 4), (2, 3, 3), (2, 4, 3), (2, 3, 4), (3, 3, 4)]:
+        params = params_of(k, j, m)
+        width = len(basis_W(params))
+        rng = substream(3141, 100 * k + 10 * j + m)
+
+        def two_term():
+            s = rng.randrange(width - 1)
+            return ec([rng.choice((1, -2)) if t in (s, s + 1) else 0
+                       for t in range(width)], params)
+
+        def dense():
+            return ec([Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.choice((1, 2, 3)))
+                       for _ in range(width)], params)
+
+        pairs = []
+        for _ in range(3):
+            p = sample_ext_class(params, rng)
+            pairs.append((p, sample_ext_class(params, rng)))
+            pairs.append((p, act(sample_group_elem(params, rng), p)))
+        pairs += [(two_term(), two_term()) for _ in range(3)]
+        d = dense()
+        pairs += [(d, dense()), (d, act(sample_group_elem(params, rng, max_terms=10 ** 6), d))]
+        for p, q in pairs:
+            decided = isom_decide(p, q) is not None
+            assert decided == brute_force_isomorphic(p, q), (k, j, m, p, q)
+            verdicts.append(decided)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 15
 
 
 def reference_hom_space(p, p_target, degree):
