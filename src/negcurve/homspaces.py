@@ -10,9 +10,12 @@ where (.)_V keeps the second-chart-regular monomials and (.)_+ the
 rest.  On the band the obstruction is minus [d1 | d2] applied to the
 coefficients of (a, d, c), where d1(a, d) is the class of d*p' - a*p and
 d2(c) that of (z^-j c p)_+ p' - (z^-j c p')_V p.  ``build_linear_system``
-builds this matrix once, one sparse row per band monomial.  The
-isomorphism decision is an exact nullspace computation on those rows,
-and Hom(E_p, E_p') is counted by a two-step filtration: ker d1, then the
+builds this matrix once, one sparse row per band monomial, its
+c-columns from one running integer product: at most 3 |p| |p'| term
+products, in memory bounded by the support of p p'.  The isomorphism
+decision reads a witness from the reduced echelon rows, in integers and
+with no dense nullspace basis, and
+Hom(E_p, E_p') is counted by a two-step filtration: ker d1, then the
 c whose d2-image lies in the image of d1, of codimension
 rank [d1 | d2] - rank d1; one echelon form of the rows gives both ranks.
 An independent brute-force solver for intertwining matrix pairs
@@ -24,12 +27,12 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import chain
+from operator import itemgetter
 
 from . import linalg
 from .extensions import ExtClass, Mat2, ModuliParams, class_is_zero, ext1_band
 from .groupoid import CocyclePair, GroupElem, act, cech_parts
-from .ring import ConsistencyError, RingElem
+from .ring import ConsistencyError, RingElem, _over_common_denominator
 from .sections import h0_basis, h0_dim, h1_dim
 
 
@@ -61,27 +64,84 @@ def witness_condition(g: GroupElem, p: ExtClass, p_target: ExtClass) -> bool:
     return ok
 
 
+def _band_entries(band_index: dict, terms: dict, dl: int, di: int) -> list:
+    """(row, x) for each nonzero term x z^l u^i of terms whose shift
+    z^(l+dl) u^(i+di) is a band monomial."""
+    out = []
+    for (l, i), x in terms.items():
+        r = band_index.get((i + di, l + dl))
+        if r is not None and x:
+            out.append((r, x))
+    return out
+
+
+def _add_term_product(w: dict, key: tuple[int, int], n: int, terms: list, m: int) -> None:
+    """w += n z^l u^i * terms in integers, truncated at u^m; (l, i) = key."""
+    l1, i1 = key
+    for (l2, i2), n2 in terms:
+        i = i1 + i2
+        if i < m:
+            out = (l1 + l2, i)
+            w[out] = w.get(out, 0) + n * n2
+
+
 def build_linear_system(p: ExtClass, p_target: ExtClass) -> list[dict[int, Fraction]]:
     """The band rows of [d1 | d2], each a sparse map unknown -> coefficient.
 
     One row per monomial of ext1_band.  The unknowns are the a-basis, the
-    d-basis (both h0_basis(0)), then the c-basis (h0_basis(2j)), in order.
+    d-basis (both h0_basis(0)), then the c-basis (h0_basis(2j)), in order,
+    and each row holds its unknowns in that order.  The a- and d-columns
+    are band lookups of the shifts -z^l u^i p and z^l u^i p'.
+
+    The c-columns are read from one running product.  Write
+    a(t) = l - k*i for a term t = p_t z^l u^i of p, and b(s) likewise for
+    a term s of p'.  For c = z^lc u^ic and theta = j - lc + k*ic,
+    _c_differential(c) is z^(lc-j) u^ic W_theta with
+
+        W_theta = sum_{a(t) > theta} t p' - sum_{b(s) <= theta} s p,
+
+    because (z^-j c t)_+ keeps exactly the t with a(t) > theta and
+    (z^-j c s)_V the s with b(s) <= theta.  The c-unknowns are visited in
+    increasing theta: W starts as p p', and each threshold a(t) or b(s)
+    that theta reaches subtracts t p' or s p once, so the c-block makes at
+    most 3 |p| |p'| integer term products.  W is held as integers over
+    D = den(p) den(p'), on the support of p p' alone, and each entry is
+    read as Fraction(n, D); no table of term pairs is formed.
     """
     if p.params != p_target.params:
         raise ValueError("mismatched moduli parameters")
-    ring = p.params.ring
-    band_index = {li: r for r, li in enumerate(ext1_band(p.params))}
-    # Each image is made when its unknown is read, so none outlives its row entries.
-    images = chain((-p.p.shift(l, i) for (l, i) in h0_basis(0, ring)),
-                   (p_target.p.shift(l, i) for (l, i) in h0_basis(0, ring)),
-                   (_c_differential(RingElem.monomial(ring, l, i), p, p_target)
-                    for (l, i) in h0_basis(2 * p.params.j, ring)))
+    params = p.params
+    ring, j, k, m = params.ring, params.j, params.k, params.m
+    band_index = {il: r for r, il in enumerate(ext1_band(params))}
+    basis0, basis_c = h0_basis(0, ring), h0_basis(2 * j, ring)
+    minus_p = {key: -x for key, x in p.p.terms.items()}
+    columns = [_band_entries(band_index, terms, l, i)
+               for terms in (minus_p, p_target.p.terms) for (l, i) in basis0]
+    first_c = len(columns)
+    columns += [[]] * len(basis_c)
+
+    den_p, num_p = _over_common_denominator(p.p.terms)
+    den_q, num_q = _over_common_denominator(p_target.p.terms)
+    den = den_p * den_q
+    w: dict[tuple[int, int], int] = {}
+    for key, n in num_p:
+        _add_term_product(w, key, n, num_q, m)
+    leaving = sorted([(l - k * i, (l, i), -n, num_q) for (l, i), n in num_p]
+                     + [(l - k * i, (l, i), -n, num_p) for (l, i), n in num_q],
+                     key=itemgetter(0))
+    pos = 0
+    for theta, u, lc, ic in sorted((j - lc + k * ic, u, lc, ic)
+                                   for u, (lc, ic) in enumerate(basis_c, first_c)):
+        while pos < len(leaving) and leaving[pos][0] <= theta:
+            _, key, n, terms = leaving[pos]
+            _add_term_product(w, key, n, terms, m)
+            pos += 1
+        columns[u] = [(r, Fraction(n, den)) for r, n in _band_entries(band_index, w, lc - j, ic)]
+
     rows: list[dict[int, Fraction]] = [{} for _ in band_index]
-    for unknown, elem in enumerate(images):
-        for (l, i), coeff in elem.terms.items():
-            r = band_index.get((i, l))
-            if r is not None:
-                rows[r][unknown] = coeff
+    for u, column in enumerate(columns):
+        for r, x in column:
+            rows[r][u] = x
     return rows
 
 
@@ -92,8 +152,12 @@ def isom_decide(p: ExtClass, p_target: ExtClass) -> GroupElem | None:
     with a(0,0)*d(0,0) != 0.  Over the rationals such a solution exists
     unless one of the two coordinate functionals vanishes on the whole
     solution space, so finitely many combinations of nullspace basis
-    vectors settle it.  A found witness (with b = 0) is verified by
-    applying the action before it is returned.
+    vectors settle it.  Everything is read from the reduced echelon rows:
+    the nullspace vector of free column f is 1 at f and
+    -row_c[f] / row_c[c] at each pivot column c, so a combination with
+    weight w_f on free column f is w_f there and
+    -sum_f w_f row_c[f] / row_c[c] at pivot c.  A found witness (with
+    b = 0) is verified by applying the action before it is returned.
     """
     params = p.params
     ring = params.ring
@@ -101,36 +165,44 @@ def isom_decide(p: ExtClass, p_target: ExtClass) -> GroupElem | None:
     basis_c = h0_basis(2 * params.j, ring)
     n0 = len(basis0)
     ncols = 2 * n0 + len(basis_c)
-    basis = linalg.nullspace(build_linear_system(p, p_target), ncols)
-    if not basis:
-        return None
+    pivots = linalg.reduced_echelon(build_linear_system(p, p_target))
+    free_cols = [c for c in range(ncols) if c not in pivots]
     # h0_basis(0) starts at (0, 0), so a(0,0) and d(0,0) are the first
-    # a- and d-unknowns.
+    # a- and d-unknowns.  A functional vanishes on the solution space
+    # exactly when its column is a pivot whose row has no free column.
     idx_a, idx_d = 0, n0
-    if all(v[idx_a] == 0 for v in basis) or all(v[idx_d] == 0 for v in basis):
+    if any(len(pivots.get(idx, ())) == 1 for idx in (idx_a, idx_d)):
         return None
 
+    def value(idx: int, weights: dict[int, int]) -> int:
+        """w_idx at a free column; at a pivot column, the combination's
+        entry times -row[idx], an integer with the same zeros."""
+        row = pivots.get(idx)
+        if row is None:
+            return weights[idx]
+        return sum(weights[f] * v for f, v in row.items() if f != idx)
+
     # Both coordinate functionals are nonzero somewhere, so along the
-    # curve t -> sum t^i * basis[i] their product is a nonzero polynomial
-    # of degree < 2*len(basis); enough sample points must hit a unit.
-    for t in range(2 * len(basis) + 1):
-        weights = [t ** e for e in range(len(basis))]
-        if (sum(w * bv[idx_a] for w, bv in zip(weights, basis))
-                and sum(w * bv[idx_d] for w, bv in zip(weights, basis))):
+    # curve t -> sum t^e * (vector of free column e) their product is a
+    # nonzero polynomial of degree < 2*len(free_cols); enough sample
+    # points must hit a unit.
+    for t in range(2 * len(free_cols) + 1):
+        weights = {f: t ** e for e, f in enumerate(free_cols)}
+        if value(idx_a, weights) and value(idx_d, weights):
             break
     else:
         raise ConsistencyError("no unit-determinant point found on the solution space")
-    vec = [Fraction(0)] * ncols
-    for w, bv in zip(weights, basis):
-        if w:
-            for c, x in enumerate(bv):
-                if x:
-                    vec[c] += w * x
+    vec: dict[int, Fraction | int] = {f: w for f, w in weights.items() if w}
+    for c, row in pivots.items():
+        s = value(c, weights)
+        if s:
+            vec[c] = Fraction(-s, row[c])
 
-    witness = GroupElem.from_reps(
-        params, RingElem(ring, dict(zip(basis0, vec[:n0]))), RingElem.zero(ring),
-        RingElem(ring, dict(zip(basis_c, vec[2 * n0:]))),
-        RingElem(ring, dict(zip(basis0, vec[n0:2 * n0]))))
+    def rep(basis: list, first: int) -> RingElem:
+        return RingElem(ring, {mono: vec[u] for u, mono in enumerate(basis, first) if u in vec})
+
+    witness = GroupElem.from_reps(params, rep(basis0, 0), RingElem.zero(ring),
+                                  rep(basis_c, 2 * n0), rep(basis0, n0))
     if act(witness, p) != p_target:
         raise ConsistencyError("isomorphism witness fails to act correctly")
     return witness

@@ -12,12 +12,13 @@ row r by the pivot row p as (p[c] r - r[c] p) / g, with g = gcd(p[c], r[c]),
 so every row stays an integer multiple of a rational row of the system.
 
 ``echelon`` brings the rows to echelon form, one pivot row per leading
-column.  ``nullspace`` back-eliminates those rows once, from the highest
-pivot down, into reduced echelon form, where row c has only its pivot
-column c and free columns.  The basis vector of a free column f is then
-read off: 1 at f, -row_c[f] / row_c[c] at each pivot column c, and 0
-elsewhere.  This is the unique nullspace vector whose free coordinates
-are those of e_f, so the basis does not depend on the elimination order.
+column.  ``reduced_echelon`` back-eliminates those rows once, from the
+highest pivot down, into reduced echelon form, where row c has only its
+pivot column c and free columns.  ``nullspace`` reads its basis off
+that form: the vector of a free column f is 1 at f, -row_c[f] / row_c[c]
+at each pivot column c, and 0 elsewhere.  This is the unique nullspace
+vector whose free coordinates are those of e_f, so the basis does not
+depend on the elimination order.
 """
 
 from __future__ import annotations
@@ -75,21 +76,31 @@ def echelon(rows: list[dict]) -> dict[int, dict[int, int]]:
     return pivots
 
 
+def reduced_echelon(rows: list[dict]) -> dict[int, dict[int, int]]:
+    """Reduced echelon form; returns pivot column -> primitive integer row.
+
+    Row c holds its pivot column c and free columns only: the echelon
+    rows are back-eliminated once, highest pivot first.
+    """
+    pivots = echelon(rows)
+    # In place: the other pivot columns of row c lie above c, and their
+    # rows already hold only their own pivot column and free columns, so
+    # clearing with them adds no pivot column.
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for cc in [cc for cc in row if cc != c and cc in pivots]:
+            row = _clear(row, cc, pivots[cc])
+        pivots[c] = row
+    return pivots
+
+
 def nullspace(rows: list[dict], ncols: int) -> list[list[Fraction]]:
     """A basis of the right nullspace, one dense vector per free column.
 
     Vectors follow the free columns in increasing order; the vector of
     free column f is 1 at f and 0 at every other free column.
     """
-    pivots = echelon(rows)
-    # Highest pivot first, in place: the other pivot columns of row c lie
-    # above c, and their rows already hold only their own pivot column
-    # and free columns, so clearing with them adds no pivot column.
-    for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        for cc in [cc for cc in row if cc != c and cc in pivots]:
-            row = _clear(row, cc, pivots[cc])
-        pivots[c] = row
+    pivots = reduced_echelon(rows)
     free_cols = [c for c in range(ncols) if c not in pivots]
     zero = Fraction(0)
     basis = {f: [zero] * ncols for f in free_cols}

@@ -188,7 +188,20 @@ class RingElem:
         return RingElem._raw(self.params, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other: "RingElem") -> "RingElem":
-        return self + (-other)
+        # Subtracts while merging, in the term order of self + (-other).
+        self._check_same(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            s = out.get(key)
+            if s is None:
+                out[key] = -c
+            else:
+                s = s - c
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+        return RingElem._raw(self.params, out)
 
     def __mul__(self, other: "RingElem") -> "RingElem":
         self._check_same(other)

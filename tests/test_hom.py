@@ -1,6 +1,7 @@
 """Isomorphism decision, witness condition, and Hom/Ext dimensions."""
 
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -8,8 +9,8 @@ from negcurve import linalg
 from negcurve.extensions import ExtClass, Mat2, ModuliParams, basis_W, ext1_band
 from negcurve.groupoid import (CocyclePair, GroupElem, act, sample_ext_class,
                                sample_group_elem, substream)
-from negcurve.homspaces import (brute_force_hom, build_linear_system, default_degree_bound,
-                                hom_ext_dims, isom_decide, obstruction,
+from negcurve.homspaces import (_c_differential, brute_force_hom, build_linear_system,
+                                default_degree_bound, hom_ext_dims, isom_decide, obstruction,
                                 spectral_differentials, witness_condition)
 from negcurve.ring import RingElem, RingParams
 from negcurve.sections import h0_basis, h0_dim, h1_dim
@@ -144,6 +145,12 @@ WITNESS_AT_T2 = [([0, 1, -1, 0, 0, -1, 0, -1, 1], [0, 1, -1, 0, 0, 1, -1, 0, 0])
                  ([-1, 0, 0, -1, 0, 1, 1, 0, 1], [-1, 0, 0, -1, 0, -1, 0, 0, -1])]
 
 
+def full_class(params, rng):
+    """A class with every band coefficient nonzero."""
+    return ec([Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.choice((1, 2, 3)))
+               for _ in basis_W(params)], params)
+
+
 def test_isom_witness_matches_reference_search():
     cases = [(params_of(1, 3, 4), ec(p, params_of(1, 3, 4)), ec(q, params_of(1, 3, 4)))
              for p, q in WITNESS_AT_T2]
@@ -153,19 +160,41 @@ def test_isom_witness_matches_reference_search():
             rng = substream(9090, 100 * k + 10 * j + m + 1000 * idx)
             p = sample_ext_class(params, rng)
             cases.append((params, p, act(sample_group_elem(params, rng), p)))
-    t_used = set()
+    # Full classes and the zero class.  The a(0,0) column is the band class
+    # of -p, so it is a pivot unless p = 0; the d(0,0) column is free when
+    # the class of p' lies in the span of the shifts of p, as for p' = p.
+    # Independent full classes are not isomorphic.
+    for (k, j, m) in [(1, 3, 4), (1, 4, 6)]:
+        params = params_of(k, j, m)
+        rng = substream(4747, 100 * k + 10 * j + m)
+        p, q = full_class(params, rng), full_class(params, rng)
+        g = sample_group_elem(params, rng, max_terms=10 ** 6)
+        zero = ExtClass.zero(params)
+        cases += [(params, p, p), (params, p, act(g, p)), (params, q, act(g, q)),
+                  (params, zero, zero), (params, p, q), (params, q, p), (params, p, zero),
+                  (params, zero, q)]
+    t_used, columns, verdicts = set(), set(), []
     for params, p, q in cases:
         ring = params.ring
         basis0, basis_c = h0_basis(0, ring), h0_basis(2 * params.j, ring)
         n0 = len(basis0)
-        t, vec = reference_witness(p, q)
-        t_used.add(t)
+        pivots = linalg.reduced_echelon(build_linear_system(p, q))
+        columns.add((0 in pivots, n0 in pivots))
+        found = reference_witness(p, q)
         w = isom_decide(p, q)
+        verdicts.append(w is not None)
+        if found is None:
+            assert w is None
+            continue
+        t, vec = found
+        t_used.add(t)
         assert w.a.rep == RingElem(ring, dict(zip(basis0, vec[:n0])))
         assert w.d.rep == RingElem(ring, dict(zip(basis0, vec[n0:2 * n0])))
         assert w.c.rep == RingElem(ring, dict(zip(basis_c, vec[2 * n0:])))
         assert w.b.rep.is_zero()
     assert t_used == {1, 2}
+    assert columns == {(False, False), (False, True), (True, False), (True, True)}
+    assert verdicts.count(False) >= 8
 
 
 def test_linear_system_layout():
@@ -204,6 +233,57 @@ def test_linear_system_is_minus_the_band_obstruction():
             image = [sum((v * x[u] for u, v in row.items()), Fraction(0))
                      for row in build_linear_system(p, q)]
             assert image == [-obs.coeff(l, i) for (i, l) in ext1_band(params)]
+
+
+def reference_build_linear_system(p: ExtClass, p_target: ExtClass) -> list[dict[int, Fraction]]:
+    """Verbatim copy of the per-unknown builder, two full products per
+    c-unknown through _c_differential.  The running-product builder must
+    match it in every value and in the key order of every row.
+    """
+    if p.params != p_target.params:
+        raise ValueError("mismatched moduli parameters")
+    ring = p.params.ring
+    band_index = {li: r for r, li in enumerate(ext1_band(p.params))}
+    # Each image is made when its unknown is read, so none outlives its row entries.
+    images = chain((-p.p.shift(l, i) for (l, i) in h0_basis(0, ring)),
+                   (p_target.p.shift(l, i) for (l, i) in h0_basis(0, ring)),
+                   (_c_differential(RingElem.monomial(ring, l, i), p, p_target)
+                    for (l, i) in h0_basis(2 * p.params.j, ring)))
+    rows: list[dict[int, Fraction]] = [{} for _ in band_index]
+    for unknown, elem in enumerate(images):
+        for (l, i), coeff in elem.terms.items():
+            r = band_index.get((i, l))
+            if r is not None:
+                rows[r][unknown] = coeff
+    return rows
+
+
+def assert_same_rows(rows, expected):
+    assert [list(row.items()) for row in rows] == [list(row.items()) for row in expected]
+    assert all(type(v) is Fraction for row in rows for v in row.values())
+
+
+def test_linear_system_matches_per_unknown_reference():
+    kinds = set()
+    for (k, j, m) in [(1, 2, 3), (1, 3, 4), (2, 4, 3), (2, 3, 4), (3, 3, 4), (1, 4, 6)]:
+        params = params_of(k, j, m)
+        width = len(basis_W(params))
+        rng = substream(8128, 100 * k + 10 * j + m)
+        sparse = [sample_ext_class(params, rng) for _ in range(2)]
+        two_term = [ec([rng.choice((1, -2)) if t in (s, s + 1) else 0 for t in range(width)],
+                       params) for s in (0, width - 2)]
+        full = [full_class(params, rng) for _ in range(2)]
+        g = sample_group_elem(params, rng, max_terms=10 ** 6)
+        classes = sparse + two_term + full + [ExtClass.zero(params)]
+        pairs = [(p, q) for p in classes for q in classes] + [(p, act(g, p)) for p in full]
+        for p, q in pairs:
+            assert_same_rows(build_linear_system(p, q), reference_build_linear_system(p, q))
+            kinds.add((len(p.p.terms), len(q.p.terms), p == q))
+    params = params_of(1, 6, 8)
+    rng = substream(8128, 168)
+    p, q = full_class(params, rng), full_class(params, rng)
+    assert_same_rows(build_linear_system(p, q), reference_build_linear_system(p, q))
+    assert len(kinds) > 40
 
 
 # -- spectral differentials and dimensions ---------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -245,3 +246,39 @@ def test_hom_system_matches_sympy_rref(hom_system):
     r, basis = sympy_rref_nullspace(rows, ncols)
     assert len(linalg.echelon(rows)) == r
     assert linalg.nullspace(rows, ncols) == basis
+
+
+# -- the reduced echelon form and the nullspace read from it -------------------
+
+
+def read_nullspace(pivots, ncols):
+    """The basis vector of each free column f: 1 at f, -row_c[f] / row_c[c]
+    at each pivot column c."""
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for c, row in pivots.items():
+            if f in row:
+                vec[c] = Fraction(-row[f], row[c])
+        basis.append(vec)
+    return basis
+
+
+@pytest.mark.parametrize("name,rows,ncols", SYSTEMS, ids=[s[0] for s in SYSTEMS])
+def test_reduced_echelon_rows_hold_pivot_and_free_columns(name, rows, ncols):
+    pivots = linalg.reduced_echelon(rows)
+    assert sorted(pivots) == sorted(linalg.echelon(rows))
+    for c, row in pivots.items():
+        assert min(row) == c and row[c] != 0
+        assert all(cc == c or cc not in pivots for cc in row)
+        assert all(type(v) is int and v for v in row.values())
+        assert gcd(*row.values()) == 1
+    assert bits(linalg.nullspace(rows, ncols)) == bits(read_nullspace(pivots, ncols))
+
+
+def test_hom_system_reduced_echelon(hom_system):
+    rows, ncols = hom_system
+    pivots = linalg.reduced_echelon(rows)
+    assert all(cc == c or cc not in pivots for c, row in pivots.items() for cc in row)
+    assert bits(linalg.nullspace(rows, ncols)) == bits(read_nullspace(pivots, ncols))

@@ -264,6 +264,16 @@ def test_ring_laws(triple):
     assert x + (-x) == RingElem.zero(x.params)
 
 
+@settings(max_examples=150, deadline=None)
+@given(ring_elem_triples())
+def test_subtraction_merges_like_adding_the_negative(triple):
+    # Same terms in the same order as x + (-y), cancellations dropped.
+    x, y, _ = triple
+    for a, b in ((x, y), (x, x), (x + y, y)):
+        assert list((a - b).terms.items()) == list((a + (-b)).terms.items())
+    assert not (x - x).terms
+
+
 # -- unit inversion -----------------------------------------------------------
 
 def test_invert_one_and_constant():
