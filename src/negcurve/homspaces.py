@@ -14,10 +14,10 @@ builds this matrix once, one sparse row per band monomial, its
 c-columns from one running integer product: at most 3 |p| |p'| term
 products, in memory bounded by the support of p p'.  The isomorphism
 decision reads a witness from the reduced echelon rows, in integers and
-with no dense nullspace basis, and
-Hom(E_p, E_p') is counted by a two-step filtration: ker d1, then the
-c whose d2-image lies in the image of d1, of codimension
-rank [d1 | d2] - rank d1; one echelon form of the rows gives both ranks.
+with no dense nullspace basis, and Hom(E_p, E_p') is counted by a
+two-step filtration: ker d1, then the c whose d2-image lies in the
+image of d1, of codimension rank [d1 | d2] - rank d1; one echelon form
+of the rows gives both ranks.
 An independent brute-force solver for intertwining matrix pairs
 cross-checks every dimension; its system is read from
 B = T(p') A T(p)^-1, one image T(p') E T(p)^-1 per unit matrix E.
@@ -175,8 +175,8 @@ def isom_decide(p: ExtClass, p_target: ExtClass) -> GroupElem | None:
         return None
 
     def value(idx: int, weights: dict[int, int]) -> int:
-        """w_idx at a free column; at a pivot column, the combination's
-        entry times -row[idx], an integer with the same zeros."""
+        """The combination's entry at idx, times -row[idx] when idx is a
+        pivot column: an integer with the same zeros."""
         row = pivots.get(idx)
         if row is None:
             return weights[idx]
