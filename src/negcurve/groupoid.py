@@ -118,11 +118,6 @@ class CocyclePair:
         """self after other: entrywise matrix products."""
         return CocyclePair(self.params, self.A * other.A, self.B * other.B)
 
-    def inverse(self) -> "CocyclePair":
-        # det B = det A since the transition matrices have determinant 1,
-        # so B is invertible whenever A is.
-        return CocyclePair(self.params, self.A.inverse(), self.B.inverse())
-
     def intertwines(self, p: ExtClass, p_target: ExtClass) -> bool:
         return self.B * p.transition() == p_target.transition() * self.A
 
@@ -223,17 +218,16 @@ def _global_part(x: RingElem) -> RingElem:
     return x.select(lambda l, i: 0 <= l <= k * i)
 
 
-def extract_group_elem(pair: CocyclePair, p: ExtClass, p_target: ExtClass) -> GroupElem:
-    """Recover the unique automorphism underlying an intertwining pair.
+def extract_group_elem(A: Mat2, b11: RingElem, p: ExtClass, p_target: ExtClass) -> GroupElem:
+    """Recover the unique automorphism underlying an intertwining pair (A, B).
 
-    Reads a and d as the global parts of A11 and A22 and c as A21,
-    rebuilds the canonical pair of (a, 0; c, d) from p to p_target, and
-    reads b off as the difference of the A12 entries.  A11, A22 and B11
-    must match the rebuilt ones exactly.
+    Reads only A and the entry B11 of B: a and d are the global parts of
+    A11 and A22 and c is A21; the canonical pair of (a, 0; c, d) from p
+    to p_target is rebuilt, and b is read off as the difference of the
+    A12 entries.  A11, A22 and B11 must match the rebuilt ones exactly.
     """
-    params = pair.params
+    params = p.params
     j = params.j
-    A, B = pair.A, pair.B
     a_rep, c_rep, d_rep = _global_part(A.a11), A.a21, _global_part(A.a22)
     try:
         c_sec = TwistedSection(2 * j, c_rep)
@@ -242,30 +236,40 @@ def extract_group_elem(pair: CocyclePair, p: ExtClass, p_target: ExtClass) -> Gr
         b_sec = TwistedSection(-2 * j, A.a12 - rebuilt.A.a12)
     except (ConsistencyError, ValueError) as exc:
         raise ValueError("not a normalized cocycle pair") from exc
-    if (A.a11, A.a22, B.a11) != (rebuilt.A.a11, rebuilt.A.a22, rebuilt.B.a11):
+    if (A.a11, A.a22, b11) != (rebuilt.A.a11, rebuilt.A.a22, rebuilt.B.a11):
         raise ValueError("not a normalized cocycle pair")
     return GroupElem(params, TwistedSection(0, a_rep), b_sec, c_sec, TwistedSection(0, d_rep))
 
 
 def induced_product(g1: GroupElem, g2: GroupElem, p: ExtClass,
                     check: bool = True) -> GroupElem:
-    """The base-point product g1 *_p g2: compose cocycle pairs and extract."""
+    """The base-point product g1 *_p g2: compose cocycle pairs and extract.
+
+    Extraction reads only A and B11 of the composed pair, so only those
+    are formed.
+    """
     if g1.params != g2.params or g1.params != p.params:
         raise ValueError("mismatched moduli parameters")
     q = act(g2, p)
     pair2 = _build_pair(g2.matrix(), p, q, check)
     q2 = act(g1, q)
     pair1 = _build_pair(g1.matrix(), q, q2, check)
-    return extract_group_elem(pair1.compose(pair2), p, q2)
+    B1, B2 = pair1.B, pair2.B
+    return extract_group_elem(pair1.A * pair2.A, B1.a11 * B2.a11 + B1.a12 * B2.a21, p, q2)
 
 
 def induced_inverse(g: GroupElem, p: ExtClass, check: bool = True) -> GroupElem:
-    """The base-point inverse of g at p: invert the pair and extract."""
+    """The base-point inverse of g at p: invert the pair and extract.
+
+    Extraction reads only A^-1 and the entry B22 / det B of B^-1, and
+    det B = det A since the transition matrices have determinant 1.
+    """
     if g.params != p.params:
         raise ValueError("mismatched moduli parameters")
     q = act(g, p)
     pair = _build_pair(g.matrix(), p, q, check)
-    return extract_group_elem(pair.inverse(), q, p)
+    a_inv = pair.A.inverse()
+    return extract_group_elem(a_inv, pair.B.a22 * a_inv.det(), q, p)
 
 
 # -- seeded sampling ---------------------------------------------------------
@@ -335,7 +339,7 @@ def _check_sample(params: ModuliParams, rng: random.Random,
     q1 = act(g1, p)
     pair1 = _build_pair(g1.matrix(), p, q1, check=False)
     out["intertwining"] = pair1.is_chart_regular() and pair1.intertwines(p, q1)
-    out["roundtrip"] = extract_group_elem(pair1, p, q1) == g1
+    out["roundtrip"] = extract_group_elem(pair1.A, pair1.B.a11, p, q1) == g1
 
     # Compatibility: acting by g1 *_p g2 equals acting by g2 then g1.
     q3 = act(g3, p)

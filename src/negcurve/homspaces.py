@@ -20,7 +20,8 @@ image of d1, of codimension rank [d1 | d2] - rank d1; one echelon form
 of the rows gives both ranks.
 An independent brute-force solver for intertwining matrix pairs
 cross-checks every dimension; its system is read from
-B = T(p') A T(p)^-1, one image T(p') E T(p)^-1 per unit matrix E.
+B = T(p') A T(p)^-1, one image T(p') E T(p)^-1 per unit matrix E, and
+built once for both of its degree bounds.
 """
 
 from __future__ import annotations
@@ -277,18 +278,18 @@ def default_degree_bound(params: ModuliParams) -> int:
     return params.k * (params.m - 1) + 2 * params.j + 1
 
 
-def _hom_space(t_target: Mat2, t_source_inv: Mat2, degree: int):
-    """Nullspace of the chart-regularity system for intertwining pairs.
+def _hom_rows(t_target: Mat2, t_source_inv: Mat2, monos: list) -> list[dict[int, Fraction]]:
+    """The chart-regularity system for intertwining pairs, one row per
+    monomial of B that must vanish.
 
-    Unknowns are the coefficients of the four entries of A on monomials
-    z^l u^i with 0 <= l <= degree.  The second-chart matrix
+    Unknowns are the coefficients of the four entries of A on the
+    monomials z^l u^i in monos, entry by entry.  The second-chart matrix
     B = T(p') A T(p)^-1 is linear in them: the unknown z^l u^i of entry e
     contributes z^l u^i times the image T(p') E_e T(p)^-1 of the unit
     matrix E_e.  Each monomial of B with l > k*i must vanish.
     """
     ring = t_target.a11.params
     k = ring.k
-    monos = [(l, i) for i in range(ring.m) for l in range(degree + 1)]
     zero, one = RingElem.zero(ring), RingElem.one(ring)
     units = (Mat2(one, zero, zero, zero), Mat2(zero, one, zero, zero),
              Mat2(zero, zero, one, zero), Mat2(zero, zero, zero, one))
@@ -302,7 +303,7 @@ def _hom_space(t_target: Mat2, t_source_inv: Mat2, degree: int):
                 for (ll, ii), coeff in elem.shift(l, i).terms.items():
                     if ll > k * ii:
                         rows.setdefault((b_entry, ll, ii), {})[base + idx] = coeff
-    return linalg.nullspace(list(rows.values()), 4 * len(monos)), monos
+    return list(rows.values())
 
 
 def brute_force_hom(p: ExtClass, p_target: ExtClass,
@@ -311,7 +312,11 @@ def brute_force_hom(p: ExtClass, p_target: ExtClass,
 
     Solves for matrix pairs with A supported in z-degrees 0..degree and
     requires the dimension to be unchanged at degree+1; otherwise the
-    degree bound was too small to have stabilized.  Each pair's B is
+    degree bound was too small to have stabilized.  One system serves
+    both bounds: it is built once for degree+1, and the degree system is
+    its columns with l <= degree.  Each entry of a row is set by its
+    unknown alone, so dropping the other columns (and the rows left
+    empty) gives exactly the system built for degree.  Each pair's B is
     T(p') A T(p)^-1, the same product the solver's system is read from.
     """
     if p.params != p_target.params:
@@ -323,16 +328,24 @@ def brute_force_hom(p: ExtClass, p_target: ExtClass,
         raise ValueError("degree bound must be at least 1")
     t_target = p_target.transition()
     t_source_inv = p.transition().inverse()
-    basis, monos = _hom_space(t_target, t_source_inv, degree)
-    basis_next, _ = _hom_space(t_target, t_source_inv, degree + 1)
-    if len(basis) != len(basis_next):
+    ring = params.ring
+    monos_next = [(l, i) for i in range(ring.m) for l in range(degree + 2)]
+    rows_next = _hom_rows(t_target, t_source_inv, monos_next)
+    monos = [(l, i) for (l, i) in monos_next if l <= degree]
+    n, n_next = len(monos), len(monos_next)
+    index = {mono: idx for idx, mono in enumerate(monos)}
+    column = {e * n_next + idx: e * n + index[mono]
+              for e in range(4) for idx, mono in enumerate(monos_next) if mono in index}
+    rows = [row for row in ({column[u]: x for u, x in row_next.items() if u in column}
+                            for row_next in rows_next) if row]
+    basis = linalg.nullspace(rows, 4 * n)
+    if len(basis) != len(linalg.nullspace(rows_next, 4 * n_next)):
         raise ValueError("degree bound too small")
 
-    ring = params.ring
-    n = len(monos)
     pairs = []
     for vec in basis:
-        a_mat = Mat2(*(RingElem._raw(ring, {mono: c for mono, c in zip(monos, vec[e * n:]) if c})
+        a_mat = Mat2(*(RingElem._raw(ring, {mono: c for mono, c
+                                            in zip(monos, vec[e * n:(e + 1) * n]) if c})
                        for e in range(4)))
         pairs.append(CocyclePair(params, a_mat, t_target * a_mat * t_source_inv))
     return len(basis), pairs

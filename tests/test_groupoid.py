@@ -156,16 +156,18 @@ def test_extract_round_trip_sampled():
             p = sample_ext_class(params, rng)
             q = act(g, p)
             pair = cocycle_matrices(g, p)
-            assert extract_group_elem(pair, p, q) == g
+            assert extract_group_elem(pair.A, pair.B.a11, p, q) == g
 
 
 def test_extract_identity_and_diagonal():
     p = ExtClass.from_vector(MP, [1, 2, 5])
     e = GroupElem.identity(MP)
-    assert extract_group_elem(cocycle_matrices(e, p), p, p) == e
+    pair = cocycle_matrices(e, p)
+    assert extract_group_elem(pair.A, pair.B.a11, p, p) == e
     g = GroupElem.diagonal(MP, 5, 1)
     q = act(g, p)
-    assert extract_group_elem(cocycle_matrices(g, p), p, q) == g
+    pair = cocycle_matrices(g, p)
+    assert extract_group_elem(pair.A, pair.B.a11, p, q) == g
 
 
 def test_extract_rejects_garbage():
@@ -175,7 +177,7 @@ def test_extract_rejects_garbage():
                                RingElem.zero(ring), RingElem.monomial(ring, 1, 1)),
                       Mat2.identity(ring))
     with pytest.raises(ValueError, match="normalized cocycle pair"):
-        extract_group_elem(bad, p, p)
+        extract_group_elem(bad.A, bad.B.a11, p, p)
 
 
 def test_extract_rejects_degenerate_determinant():
@@ -185,7 +187,7 @@ def test_extract_rejects_degenerate_determinant():
     pair = CocyclePair(MP, Mat2(u, RingElem.zero(ring), RingElem.zero(ring), u),
                        Mat2(u, RingElem.zero(ring), RingElem.zero(ring), u))
     with pytest.raises(ValueError, match="not invertible"):
-        extract_group_elem(pair, p, p)
+        extract_group_elem(pair.A, pair.B.a11, p, p)
 
 
 def test_extract_rejects_wrong_b11_at_zero_class():
@@ -197,11 +199,11 @@ def test_extract_rejects_wrong_b11_at_zero_class():
         g = sample_group_elem(MP, substream(515, idx))
         q = act(g, p)
         pair = cocycle_matrices(g, p)
-        assert extract_group_elem(pair, p, q) == g
+        assert extract_group_elem(pair.A, pair.B.a11, p, q) == g
         B = pair.B
         bad = CocyclePair(MP, pair.A, Mat2(B.a11 + u, B.a12, B.a21, B.a22))
         with pytest.raises(ValueError, match="normalized cocycle pair"):
-            extract_group_elem(bad, p, q)
+            extract_group_elem(bad.A, bad.B.a11, p, q)
 
 
 # -- induced product and inverse ----------------------------------------------

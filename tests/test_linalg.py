@@ -176,7 +176,7 @@ def bits(vectors):
 
 
 def dense_hom_system():
-    """The rows and width of the _hom_space system of a full (1,3,4) class."""
+    """The rows and width of the degree system of brute_force_hom on a full (1,3,4) class."""
     params = ModuliParams(RingParams(1, 4), 3)
     rng = random.Random("dense(1,3,4)")
     p = ExtClass.from_vector(params, [big_rational(rng) for _ in basis_W(params)])
@@ -282,3 +282,35 @@ def test_hom_system_reduced_echelon(hom_system):
     pivots = linalg.reduced_echelon(rows)
     assert all(cc == c or cc not in pivots for c, row in pivots.items() for cc in row)
     assert bits(linalg.nullspace(rows, ncols)) == bits(read_nullspace(pivots, ncols))
+
+
+# -- independence of the input row order ---------------------------------------
+
+
+def orderings(rows):
+    """The rows reversed and in three seeded shuffles."""
+    out = [rows[::-1]]
+    for seed in range(3):
+        shuffled = list(rows)
+        random.Random(seed).shuffle(shuffled)
+        out.append(shuffled)
+    return out
+
+
+def assert_order_independent(rows):
+    pivots = linalg.reduced_echelon(rows)
+    assert all(row[c] > 0 for c, row in pivots.items())
+    keys = sorted(linalg.echelon(rows))
+    for other in orderings(rows):
+        assert linalg.reduced_echelon(other) == pivots
+        assert sorted(linalg.echelon(other)) == keys
+
+
+@pytest.mark.parametrize("name,rows,ncols", SYSTEMS, ids=[s[0] for s in SYSTEMS])
+def test_reduced_echelon_does_not_depend_on_row_order(name, rows, ncols):
+    assert_order_independent(rows)
+
+
+def test_hom_system_reduced_echelon_does_not_depend_on_row_order(hom_system):
+    rows, _ = hom_system
+    assert_order_independent(rows)
