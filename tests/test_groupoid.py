@@ -7,10 +7,9 @@ import pytest
 
 from negcurve import groupoid
 from negcurve.extensions import ExtClass, Mat2, ModuliParams, restrict_level
-from negcurve.groupoid import (CocyclePair, GroupElem, act, cocycle_matrices,
-                               extract_group_elem, induced_inverse, induced_product,
-                               sample_ext_class, sample_group_elem, substream,
-                               verify_groupoid)
+from negcurve.groupoid import (GroupElem, act, cocycle_matrices, extract_group_elem,
+                               induced_inverse, induced_product, sample_ext_class,
+                               sample_group_elem, substream, verify_groupoid)
 from negcurve.ring import RingElem, RingParams, invert_unit, sector_split, truncate
 
 
@@ -173,21 +172,19 @@ def test_extract_identity_and_diagonal():
 def test_extract_rejects_garbage():
     ring = MP.ring
     p = ExtClass.from_vector(MP, [1, 0, 0])
-    bad = CocyclePair(MP, Mat2(RingElem.one(ring), RingElem.zero(ring),
-                               RingElem.zero(ring), RingElem.monomial(ring, 1, 1)),
-                      Mat2.identity(ring))
+    bad = Mat2(RingElem.one(ring), RingElem.zero(ring),
+               RingElem.zero(ring), RingElem.monomial(ring, 1, 1))
     with pytest.raises(ValueError, match="normalized cocycle pair"):
-        extract_group_elem(bad.A, bad.B.a11, p, p)
+        extract_group_elem(bad, RingElem.one(ring), p, p)
 
 
 def test_extract_rejects_degenerate_determinant():
     ring = MP.ring
     p = ExtClass.zero(MP)
     u = RingElem.monomial(ring, 0, 1)
-    pair = CocyclePair(MP, Mat2(u, RingElem.zero(ring), RingElem.zero(ring), u),
-                       Mat2(u, RingElem.zero(ring), RingElem.zero(ring), u))
+    A = Mat2(u, RingElem.zero(ring), RingElem.zero(ring), u)
     with pytest.raises(ValueError, match="not invertible"):
-        extract_group_elem(pair.A, pair.B.a11, p, p)
+        extract_group_elem(A, u, p, p)
 
 
 def test_extract_rejects_wrong_b11_at_zero_class():
@@ -200,10 +197,8 @@ def test_extract_rejects_wrong_b11_at_zero_class():
         q = act(g, p)
         pair = cocycle_matrices(g, p)
         assert extract_group_elem(pair.A, pair.B.a11, p, q) == g
-        B = pair.B
-        bad = CocyclePair(MP, pair.A, Mat2(B.a11 + u, B.a12, B.a21, B.a22))
         with pytest.raises(ValueError, match="normalized cocycle pair"):
-            extract_group_elem(bad.A, bad.B.a11, p, q)
+            extract_group_elem(pair.A, pair.B.a11 + u, p, q)
 
 
 # -- induced product and inverse ----------------------------------------------

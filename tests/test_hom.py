@@ -553,9 +553,8 @@ def reference_pairs(p, q, degree):
     return pairs
 
 
-@pytest.mark.parametrize("density", ["sparse", "dense"])
-@pytest.mark.parametrize("k,j,m", [(1, 2, 3), (1, 3, 4), (2, 4, 3), (1, 4, 6)])
-def test_brute_force_matches_reference_table(k, j, m, density):
+def reference_case(k, j, m, density):
+    """A seeded nonzero class p and q = act(g, p), sparse or dense."""
     params = params_of(k, j, m)
     rng = substream(7117, 100 * k + 10 * j + m)
     if density == "dense":
@@ -565,10 +564,32 @@ def test_brute_force_matches_reference_table(k, j, m, density):
     else:
         p = sample_ext_class(params, rng)
         g = sample_group_elem(params, rng)
-    q = act(g, p)
     assert not p.is_zero()
-    pairs = reference_pairs(p, q, default_degree_bound(params))
+    return p, act(g, p)
+
+
+@pytest.mark.parametrize("density", ["sparse", "dense"])
+@pytest.mark.parametrize("k,j,m", [(1, 2, 3), (1, 3, 4), (2, 4, 3), (1, 4, 6)])
+def test_brute_force_matches_reference_table(k, j, m, density):
+    p, q = reference_case(k, j, m, density)
+    pairs = reference_pairs(p, q, default_degree_bound(p.params))
     assert brute_force_hom(p, q) == (len(pairs), pairs)
+
+
+@pytest.mark.parametrize("density", ["sparse", "dense"])
+@pytest.mark.parametrize("k,j,m", [(1, 2, 3), (1, 3, 4), (2, 4, 3)])
+def test_brute_force_matches_reference_table_at_smallest_stable_degree(k, j, m, density):
+    # The degree system is cut from the degree + 1 system; at the first
+    # degree whose dimension has stabilized, one degree less has a
+    # smaller dimension, so every column with l = degree matters.
+    p, q = reference_case(k, j, m, density)
+    dims = [len(reference_hom_space(p, q, d)[0]) for d in range(default_degree_bound(p.params) + 2)]
+    degree = next(d for d in range(1, len(dims) - 1) if dims[d] == dims[d + 1])
+    assert dims[degree - 1] < dims[degree]
+    pairs = reference_pairs(p, q, degree)
+    assert brute_force_hom(p, q, degree) == (len(pairs), pairs)
+    with pytest.raises(ValueError, match="degree bound too small"):
+        brute_force_hom(p, q, degree - 1)
 
 
 def test_dense_profile_at_1_6_8():
