@@ -64,7 +64,7 @@ def ext1_band(params: ModuliParams) -> list[tuple[int, int]]:
 
 def class_is_zero(y: RingElem, params: ModuliParams) -> bool:
     """Whether y is a coboundary: no monomials inside the band."""
-    return not any(params.in_band(l, i) for (l, i) in y.terms)
+    return not any(params.in_band(l, i) for (l, i) in y.nums)
 
 
 class ExtClass:
@@ -75,7 +75,7 @@ class ExtClass:
     def __init__(self, params: ModuliParams, p: RingElem):
         if p.params != params.ring:
             raise ValueError("mismatched ring parameters")
-        for (l, i) in p.terms:
+        for (l, i) in p.nums:
             if i == 0 or not params.in_band(l, i):
                 raise ValueError(f"term z^{l} u^{i} is outside the normal-form band")
         object.__setattr__(self, "params", params)
@@ -136,7 +136,7 @@ def reduce_cocycle(y: RingElem, params: ModuliParams) -> tuple[ExtClass, RingEle
     """
     j = params.j
     succ, good, prec = sector_split(y, j)
-    if any(i == 0 for (_, i) in good.terms):
+    if any(i == 0 for (_, i) in good.nums):
         raise ValueError("class does not vanish on ell")
     return ExtClass(params, good), succ.shift(-j), prec.shift(j)
 

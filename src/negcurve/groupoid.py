@@ -46,7 +46,7 @@ class GroupElem:
                 raise ValueError(f"section {name} must have twist {twist}, got {sec.s}")
             if sec.rep.params != params.ring:
                 raise ValueError("mismatched ring parameters")
-        if a.rep.coeff(0, 0) * d.rep.coeff(0, 0) == 0:
+        if (0, 0) not in a.rep.nums or (0, 0) not in d.rep.nums:
             raise ValueError("not invertible")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "a", a)
@@ -153,25 +153,22 @@ def act(g: GroupElem, p: ExtClass) -> ExtClass:
     ring = params.ring
     i_cap = params.i_cap()
     a_rep, d_rep, c_rep = g.a.rep, g.d.rep, g.c.rep
-    d00 = d_rep.coeff(0, 0)
+    inv_d00 = 1 / d_rep.coeff(0, 0)
     a22 = d_rep + cech_parts(c_rep, p.p, j)[0]
     residual = a_rep * p.p
-    sol_terms: dict[tuple[int, int], Fraction] = {}
+    sol = RingElem.zero(ring)
     for i in range(1, i_cap + 1):
-        layer_terms = {}
-        for l in params.band_rows(i):
-            coeff = residual.coeff(l, i)
-            if coeff:
-                layer_terms[(l, i)] = coeff / d00
-        if not layer_terms:
+        band = params.band_rows(i)
+        delta = residual.select(lambda l, ii: ii == i and l in band)
+        if delta.is_zero():
             continue
-        delta = RingElem._raw(ring, layer_terms)
-        sol_terms.update(layer_terms)
+        delta = delta.scale(inv_d00)
+        sol = sol + delta
         # Knock out this layer's band and propagate to higher u-orders.
         _, f_delta = cech_parts(c_rep, delta, j)
         residual = residual - a22 * delta + f_delta * p.p
     # The final residual is the r = B11 p - p' A22 that _build_pair splits.
-    return ExtClass(params, RingElem(ring, sol_terms))
+    return ExtClass(params, sol)
 
 
 def _build_pair(g: Mat2, p: ExtClass, target: ExtClass, check: bool) -> CocyclePair:

@@ -33,7 +33,7 @@ from operator import itemgetter
 from . import linalg
 from .extensions import ExtClass, Mat2, ModuliParams, class_is_zero, ext1_band
 from .groupoid import CocyclePair, GroupElem, act, cech_parts
-from .ring import ConsistencyError, RingElem, _over_common_denominator
+from .ring import ConsistencyError, RingElem
 from .sections import h0_basis, h0_dim, h1_dim
 
 
@@ -121,9 +121,8 @@ def build_linear_system(p: ExtClass, p_target: ExtClass) -> list[dict[int, Fract
     first_c = len(columns)
     columns += [[]] * len(basis_c)
 
-    den_p, num_p = _over_common_denominator(p.p.terms)
-    den_q, num_q = _over_common_denominator(p_target.p.terms)
-    den = den_p * den_q
+    num_p, num_q = list(p.p.nums.items()), list(p_target.p.nums.items())
+    den = p.p.den * p_target.p.den
     w: dict[tuple[int, int], int] = {}
     for key, n in num_p:
         _add_term_product(w, key, n, num_q, m)
@@ -289,19 +288,21 @@ def _hom_rows(t_target: Mat2, t_source_inv: Mat2, monos: list) -> list[dict[int,
     matrix E_e.  Each monomial of B with l > k*i must vanish.
     """
     ring = t_target.a11.params
-    k = ring.k
+    k, m = ring.k, ring.m
     zero, one = RingElem.zero(ring), RingElem.one(ring)
     units = (Mat2(one, zero, zero, zero), Mat2(zero, one, zero, zero),
              Mat2(zero, zero, one, zero), Mat2(zero, zero, zero, one))
     rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
     for entry, unit in enumerate(units):
-        image = [(b_entry, elem) for b_entry, elem
+        image = [(b_entry, elem.terms) for b_entry, elem
                  in enumerate((t_target * unit * t_source_inv).entries()) if elem]
         base = entry * len(monos)
         for idx, (l, i) in enumerate(monos):
-            for b_entry, elem in image:
-                for (ll, ii), coeff in elem.shift(l, i).terms.items():
-                    if ll > k * ii:
+            for b_entry, terms in image:
+                # The terms of z^l u^i times the image entry, truncated at u^m.
+                for (ll, ii), coeff in terms.items():
+                    ll, ii = ll + l, ii + i
+                    if ii < m and ll > k * ii:
                         rows.setdefault((b_entry, ll, ii), {})[base + idx] = coeff
     return list(rows.values())
 

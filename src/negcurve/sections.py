@@ -26,7 +26,7 @@ class TwistedSection:
         if type(self.s) is not int:
             raise ValueError("the twist s must be an integer")
         k = self.rep.params.k
-        for (l, i) in self.rep.terms:
+        for (l, i) in self.rep.nums:
             if l < 0 or l > k * i + self.s:
                 raise ValueError(
                     f"term z^{l} u^{i} violates the O({self.s}) support bound"

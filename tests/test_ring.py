@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -251,6 +252,162 @@ def test_products_make_no_per_term_fraction_arithmetic(monkeypatch):
     # The wrappers count: one Fraction product is seen.
     Fraction(1, 2) * Fraction(1, 3)
     assert calls == ["__mul__"]
+
+
+# -- the stored integer form --------------------------------------------------
+
+
+def assert_canonical(x):
+    """den >= 1, numerators nonzero and coprime to den as a whole, terms its view."""
+    assert type(x.den) is int and x.den >= 1
+    assert all(type(n) is int and n for n in x.nums.values())
+    assert gcd(x.den, *x.nums.values()) == 1
+    assert list(x.terms.items()) == [(key, Fraction(n, x.den)) for key, n in x.nums.items()]
+
+
+def _reference_combine(x, y, sign):
+    # The Fraction merge the integer form replaced: x's terms, then y's new ones.
+    out = dict(x.terms)
+    for key, c in y.terms.items():
+        s = out.get(key)
+        if s is None:
+            out[key] = sign * c
+        else:
+            s = s + sign * c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
+
+
+def _random_pair(rng, params):
+    # Shared denominators make sums whose common factor must be divided out.
+    dens = rng.choice(((1,), (2, 4), (6, 10, 15), (10 ** 6,), (1, 3, 7)))
+    out = []
+    for _ in range(2):
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            key = (rng.randint(-4, 4), rng.randrange(params.m))
+            terms[key] = Fraction(rng.randint(-12, 12), rng.choice(dens))
+        out.append(RingElem(params, terms))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_every_operation_keeps_the_integer_form_canonical(seed):
+    rng = random.Random(seed)
+    params = RingParams(rng.randint(1, 3), rng.randint(1, 5))
+    for _ in range(12):
+        x, y = _random_pair(rng, params)
+        if rng.random() < 0.3:
+            y = x.scale(rng.choice((-1, Fraction(1, 2), 3)))
+        c = rng.choice((0, 1, -1, 6, Fraction(3, 4), Fraction(-10, 7), Fraction(1, 30)))
+        dl, di = rng.randint(-3, 3), rng.randrange(params.m)
+        j = rng.randint(1, 4)
+        m_new = rng.randint(1, params.m)
+        results = {
+            "add": (x + y, _reference_combine(x, y, 1)),
+            "sub": (x - y, _reference_combine(x, y, -1)),
+            "neg": (-x, {key: -v for key, v in x.terms.items()}),
+            "scale": (x.scale(c), {key: c * v for key, v in x.terms.items() if c}),
+            "shift": (x.shift(dl, di), {(l + dl, i + di): v for (l, i), v in x.terms.items()
+                                        if i + di < params.m}),
+            "select": (x.select(lambda l, i: (l + i) % 2 == 0),
+                       {(l, i): v for (l, i), v in x.terms.items() if (l + i) % 2 == 0}),
+            "truncate": (truncate(x, m_new),
+                         {(l, i): v for (l, i), v in x.terms.items() if i < m_new}),
+        }
+        k = params.k
+        sectors = [{} for _ in range(3)]
+        for (l, i), v in x.terms.items():
+            sectors[0 if l >= j else 2 if l + j <= k * i else 1][(l, i)] = v
+        for name, part, want in zip(("succ", "good", "prec"), sector_split(x, j), sectors):
+            results[name] = (part, want)
+        for name, (got, want) in results.items():
+            assert_canonical(got)
+            # Values and term order, against the Fraction reference.
+            assert list(got.terms.items()) == list(want.items()), name
+        assert_canonical(x * y)
+        unit = RingElem.constant(params, rng.choice((1, -2, Fraction(5, 6)))) + y.shift(0, 1)
+        inverse = invert_unit(unit)
+        assert_canonical(inverse)
+        assert unit * inverse == RingElem.one(params)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_equality_is_equality_of_fraction_terms(seed):
+    rng = random.Random(100 + seed)
+    params = RingParams(rng.randint(1, 3), rng.randint(1, 4))
+    for _ in range(20):
+        x, y = _random_pair(rng, params)
+        # Equal elements reached by different routes, and near misses.
+        for other in (y, (x + y) - y, x.scale(1), RingElem(params, dict(x.terms)),
+                      x.scale(Fraction(3, 2)).scale(Fraction(2, 3)), x + RingElem.one(params),
+                      x.shift(1).shift(-1), x.scale(2)):
+            assert (x == other) == (dict(x.terms) == dict(other.terms))
+    assert RingElem.zero(params) != RingElem.zero(RingParams(params.k, params.m + 1))
+
+
+def test_product_denominator_cancels():
+    params = RingParams(1, 3)
+    half_z = RingElem.monomial(params, 1, 0, Fraction(1, 2))
+    two_u = RingElem.monomial(params, 0, 1, 2)
+    for prod in (half_z * two_u, two_u * half_z, (half_z + half_z.shift(1)) * two_u):
+        assert_canonical(prod)
+    prod = half_z * two_u
+    assert (prod.den, prod.nums) == (1, {(1, 1): 1})
+    assert prod == RingElem.monomial(params, 1, 1)
+
+
+def test_sum_denominator_cancels():
+    params = RingParams(1, 2)
+    x = RingElem.constant(params, Fraction(1, 6)) + RingElem.constant(params, Fraction(1, 3))
+    assert (x.den, x.nums) == (2, {(0, 0): 1})
+    y = (RingElem(params, {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)})
+         + RingElem(params, {(0, 0): Fraction(1, 2), (1, 1): Fraction(-1, 2)}))
+    assert (y.den, y.nums) == (1, {(0, 0): 1})
+
+
+def test_projections_drop_the_only_term_carrying_a_prime_of_den():
+    # x = z^3 / 2 + z u^2 / 3 over den 6; each projection keeps one term.
+    params = RingParams(1, 3)
+    x = RingElem(params, {(3, 0): Fraction(1, 2), (1, 2): Fraction(1, 3)})
+    assert (x.den, x.nums) == (6, {(3, 0): 3, (1, 2): 2})
+    half_z3 = RingElem.monomial(params, 3, 0, Fraction(1, 2))
+    third_zu2 = RingElem.monomial(params, 1, 2, Fraction(1, 3))
+    assert x.select(lambda l, i: i == 0) == half_z3
+    assert truncate(x, 2) == truncate(half_z3, 2)
+    assert x.shift(0, 1) == half_z3.shift(0, 1)
+    assert sector_split(x, 2) == (half_z3, third_zu2, RingElem.zero(params))
+    # A product by the unit monomial u drops z u^3 = 0 as the shift does.
+    u = RingElem.monomial(params, 0, 1)
+    parts = (x.select(lambda l, i: i == 0), truncate(x, 2), x.shift(-1, 1), u * x, x * u,
+             *sector_split(x, 2))
+    assert [(part.den, part.nums) for part in parts] == [
+        (2, {(3, 0): 1}), (2, {(3, 0): 1}), (2, {(2, 1): 1}), (2, {(3, 1): 1}), (2, {(3, 1): 1}),
+        (2, {(3, 0): 1}), (3, {(1, 2): 1}), (1, {})]
+
+
+def test_cancellation_to_zero_is_the_zero_form():
+    params = RingParams(2, 3)
+    x = RingElem(params, {(0, 0): Fraction(-5, 6), (4, 1): Fraction(7, 10), (-1, 2): 3})
+    for zero in (x - x, x + (-x), -x + x, x.scale(0), x * RingElem.zero(params)):
+        assert (zero.den, zero.nums) == (1, {})
+        assert zero == RingElem.zero(params) and not zero.terms
+
+
+def test_ring_elements_are_immutable():
+    x = RingElem(RingParams(1, 2), {(0, 0): Fraction(1, 2), (1, 1): 3})
+    for name, value in (("den", 1), ("nums", {}), ("terms", {}), ("params", RingParams(1, 3))):
+        with pytest.raises(AttributeError):
+            setattr(x, name, value)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    with pytest.raises(TypeError):
+        x.terms[(0, 0)] = Fraction(1)
+    assert (x.den, x.nums) == (2, {(0, 0): 1, (1, 1): 6})
+    assert dict(x.terms) == {(0, 0): Fraction(1, 2), (1, 1): Fraction(3)}
 
 
 @settings(max_examples=150, deadline=None)
