@@ -47,6 +47,8 @@ class ModuliParams:
         return self.k * i - self.j + 1 <= l <= self.j - 1
 
     def restricted(self, m_new: int) -> "ModuliParams":
+        if m_new < 1:
+            raise ValueError(f"restriction target level m must be at least 1, got {m_new}")
         if m_new > self.m:
             raise ValueError("cannot refine truncation")
         return ModuliParams(RingParams(self.k, m_new), self.j)

@@ -10,30 +10,34 @@ where (.)_V keeps the second-chart-regular monomials and (.)_+ the
 rest.  On the band the obstruction is minus [d1 | d2] applied to the
 coefficients of (a, d, c), where d1(a, d) is the class of d*p' - a*p and
 d2(c) that of (z^-j c p)_+ p' - (z^-j c p')_V p.  ``build_linear_system``
-builds this matrix once, one sparse row per band monomial, its
-c-columns from one running integer product: at most 3 |p| |p'| term
-products, in memory bounded by the support of p p'.  The isomorphism
-decision reads a witness from the reduced echelon rows, in integers and
-with no dense nullspace basis, and Hom(E_p, E_p') is counted by a
+builds this matrix once in integers, times den(p) den(p'), one sparse
+row per band monomial, its c-columns from one running integer product:
+at most 3 |p| |p'| term products, in memory bounded by the support of
+p p'.  Both consumers read the echelon rows of that matrix and nothing
+more.  The isomorphism decision reduces the unit rows of a(0,0) and
+d(0,0) against them and finds a witness by one back-substitution, in
+integers over one common denominator.  Hom(E_p, E_p') is counted by a
 two-step filtration: ker d1, then the c whose d2-image lies in the
-image of d1, of codimension rank [d1 | d2] - rank d1; one echelon form
-of the rows gives both ranks.
+image of d1, of codimension rank [d1 | d2] - rank d1; the pivot columns
+give both ranks.
 An independent brute-force solver for intertwining matrix pairs
 cross-checks every dimension; its system is read from
 B = T(p') A T(p)^-1, one image T(p') E T(p)^-1 per unit matrix E, and
-built once for both of its degree bounds.
+built once for both of its degree bounds.  Its basis pairs are read
+from the sparse nullspace vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from math import gcd
 from operator import itemgetter
 
 from . import linalg
-from .extensions import ExtClass, Mat2, ModuliParams, class_is_zero, ext1_band
+from .extensions import ExtClass, Mat2, ModuliParams, class_is_zero
 from .groupoid import CocyclePair, GroupElem, act, cech_parts
-from .ring import ConsistencyError, RingElem
+from .ring import ConsistencyError, RingElem, _normal
 from .sections import h0_basis, h0_dim, h1_dim
 
 
@@ -65,34 +69,65 @@ def witness_condition(g: GroupElem, p: ExtClass, p_target: ExtClass) -> bool:
     return ok
 
 
-def _band_entries(band_index: dict, terms: dict, dl: int, di: int) -> list:
-    """(row, x) for each nonzero term x z^l u^i of terms whose shift
-    z^(l+dl) u^(i+di) is a band monomial."""
-    out = []
-    for (l, i), x in terms.items():
-        r = band_index.get((i + di, l + dl))
-        if r is not None and x:
-            out.append((r, x))
+def _by_order(nums, scale: int, m: int) -> list[dict[int, int]]:
+    """scale * nums as one map l -> integer per u-order 0..m-1."""
+    out: list[dict[int, int]] = [{} for _ in range(m)]
+    for (l, i), n in nums.items():
+        out[i][l] = scale * n
     return out
 
 
-def _add_term_product(w: dict, key: tuple[int, int], n: int, terms: list, m: int) -> None:
+def _band_entries(band: list[tuple[int, range]], w: list[dict[int, int]],
+                  dl: int, di: int) -> list[tuple[int, int]]:
+    """(row, n) for each nonzero term n z^l u^i of w whose shift
+    z^(l+dl) u^(i+di) is a band monomial.
+
+    band[i] is the first row and the z-exponents of the band at u-order
+    i.  Each u-order is read from the smaller side: the terms of w there,
+    or the band slice they shift into.
+    """
+    out = []
+    for i in range(len(band) - di):
+        wi = w[i]
+        first, ls = band[i + di]
+        if not wi or not ls:
+            continue
+        lo, hi = ls.start - dl, ls.stop - dl
+        off = first - lo
+        if len(wi) <= len(ls):
+            for l, n in wi.items():
+                if lo <= l < hi and n:
+                    out.append((off + l, n))
+        else:
+            for l in range(lo, hi):
+                n = wi.get(l)
+                if n:
+                    out.append((off + l, n))
+    return out
+
+
+def _add_term_product(w: list[dict[int, int]], key: tuple[int, int], n: int,
+                      terms: list, m: int) -> None:
     """w += n z^l u^i * terms in integers, truncated at u^m; (l, i) = key."""
     l1, i1 = key
     for (l2, i2), n2 in terms:
         i = i1 + i2
         if i < m:
-            out = (l1 + l2, i)
-            w[out] = w.get(out, 0) + n * n2
+            wi = w[i]
+            l = l1 + l2
+            wi[l] = wi.get(l, 0) + n * n2
 
 
-def build_linear_system(p: ExtClass, p_target: ExtClass) -> list[dict[int, Fraction]]:
-    """The band rows of [d1 | d2], each a sparse map unknown -> coefficient.
+def build_linear_system(p: ExtClass, p_target: ExtClass) -> list[dict[int, int]]:
+    """The band rows of [d1 | d2] times D = den(p) den(p'), in integers.
 
-    One row per monomial of ext1_band.  The unknowns are the a-basis, the
-    d-basis (both h0_basis(0)), then the c-basis (h0_basis(2j)), in order,
-    and each row holds its unknowns in that order.  The a- and d-columns
-    are band lookups of the shifts -z^l u^i p and z^l u^i p'.
+    Each row is a sparse map unknown -> nonzero integer, the rational row
+    times D.  One row per monomial of ext1_band.  The unknowns are the
+    a-basis, the d-basis (both h0_basis(0)), then the c-basis
+    (h0_basis(2j)), in order, and each row holds its unknowns in that
+    order.  The a- and d-columns are band lookups of the shifts
+    -z^l u^i p and z^l u^i p', read from nums as -den(p') nums(p) and
+    den(p) nums(p').
 
     The c-columns are read from one running product.  Write
     a(t) = l - k*i for a term t = p_t z^l u^i of p, and b(s) likewise for
@@ -105,25 +140,29 @@ def build_linear_system(p: ExtClass, p_target: ExtClass) -> list[dict[int, Fract
     (z^-j c s)_V the s with b(s) <= theta.  The c-unknowns are visited in
     increasing theta: W starts as p p', and each threshold a(t) or b(s)
     that theta reaches subtracts t p' or s p once, so the c-block makes at
-    most 3 |p| |p'| integer term products.  W is held as integers over
-    D = den(p) den(p'), on the support of p p' alone, and each entry is
-    read as Fraction(n, D); no table of term pairs is formed.
+    most 3 |p| |p'| integer term products.  W is held as the integers
+    D W, from nums alone, on the support of p p'; no Fraction and no
+    table of term pairs is formed.
     """
     if p.params != p_target.params:
         raise ValueError("mismatched moduli parameters")
     params = p.params
     ring, j, k, m = params.ring, params.j, params.k, params.m
-    band_index = {il: r for r, il in enumerate(ext1_band(params))}
+    band, first = [], 0
+    for i in range(m):
+        ls = params.band_rows(i)
+        band.append((first, ls))
+        first += len(ls)
     basis0, basis_c = h0_basis(0, ring), h0_basis(2 * j, ring)
-    minus_p = {key: -x for key, x in p.p.terms.items()}
-    columns = [_band_entries(band_index, terms, l, i)
-               for terms in (minus_p, p_target.p.terms) for (l, i) in basis0]
+    minus_p = _by_order(p.p.nums, -p_target.p.den, m)
+    target = _by_order(p_target.p.nums, p.p.den, m)
+    columns = [_band_entries(band, terms, l, i)
+               for terms in (minus_p, target) for (l, i) in basis0]
     first_c = len(columns)
     columns += [[]] * len(basis_c)
 
     num_p, num_q = list(p.p.nums.items()), list(p_target.p.nums.items())
-    den = p.p.den * p_target.p.den
-    w: dict[tuple[int, int], int] = {}
+    w: list[dict[int, int]] = [{} for _ in range(m)]
     for key, n in num_p:
         _add_term_product(w, key, n, num_q, m)
     leaving = sorted([(l - k * i, (l, i), -n, num_q) for (l, i), n in num_p]
@@ -136,9 +175,9 @@ def build_linear_system(p: ExtClass, p_target: ExtClass) -> list[dict[int, Fract
             _, key, n, terms = leaving[pos]
             _add_term_product(w, key, n, terms, m)
             pos += 1
-        columns[u] = [(r, Fraction(n, den)) for r, n in _band_entries(band_index, w, lc - j, ic)]
+        columns[u] = _band_entries(band, w, lc - j, ic)
 
-    rows: list[dict[int, Fraction]] = [{} for _ in band_index]
+    rows: list[dict[int, int]] = [{} for _ in range(first)]
     for u, column in enumerate(columns):
         for r, x in column:
             rows[r][u] = x
@@ -152,12 +191,16 @@ def isom_decide(p: ExtClass, p_target: ExtClass) -> GroupElem | None:
     with a(0,0)*d(0,0) != 0.  Over the rationals such a solution exists
     unless one of the two coordinate functionals vanishes on the whole
     solution space, so finitely many combinations of nullspace basis
-    vectors settle it.  Everything is read from the reduced echelon rows:
-    the nullspace vector of free column f is 1 at f and
-    -row_c[f] / row_c[c] at each pivot column c, so a combination with
-    weight w_f on free column f is w_f there and
-    -sum_f w_f row_c[f] / row_c[c] at pivot c.  A found witness (with
-    b = 0) is verified by applying the action before it is returned.
+    vectors settle it.  Everything is read from the echelon rows, with no
+    back-elimination.  A functional e_c vanishes on the kernel exactly
+    when it lies in the row space, that is when the unit row {c: 1}
+    reduces to zero against the pivot rows; otherwise the reduced row,
+    on free columns only, is a nonzero multiple of e_c on the kernel.
+    The combination with weight w_f on free column f is the kernel
+    vector with those free coordinates; it is found by one
+    back-substitution through the echelon rows, highest pivot first, in
+    integers over one common denominator.  A found witness (with b = 0)
+    is verified by applying the action before it is returned.
     """
     params = p.params
     ring = params.ring
@@ -165,22 +208,21 @@ def isom_decide(p: ExtClass, p_target: ExtClass) -> GroupElem | None:
     basis_c = h0_basis(2 * params.j, ring)
     n0 = len(basis0)
     ncols = 2 * n0 + len(basis_c)
-    pivots = linalg.reduced_echelon(build_linear_system(p, p_target))
+    pivots = linalg.echelon(build_linear_system(p, p_target))
+    order = sorted(pivots)
     free_cols = [c for c in range(ncols) if c not in pivots]
     # h0_basis(0) starts at (0, 0), so a(0,0) and d(0,0) are the first
-    # a- and d-unknowns.  A functional vanishes on the solution space
-    # exactly when its column is a pivot whose row has no free column.
-    idx_a, idx_d = 0, n0
-    if any(len(pivots.get(idx, ())) == 1 for idx in (idx_a, idx_d)):
-        return None
-
-    def value(idx: int, weights: dict[int, int]) -> int:
-        """The combination's entry at idx, times -row[idx] when idx is a
-        pivot column: an integer with the same zeros."""
-        row = pivots.get(idx)
-        if row is None:
-            return weights[idx]
-        return sum(weights[f] * v for f, v in row.items() if f != idx)
+    # a- and d-unknowns.  Clearing pivot column c adds only columns
+    # above c, so one pass in increasing order clears every pivot column.
+    residuals = []
+    for idx in (0, n0):
+        red = {idx: 1}
+        for c in order:
+            if c in red:
+                red = linalg._clear(red, c, pivots[c])
+        if not red:
+            return None
+        residuals.append(red)
 
     # Both coordinate functionals are nonzero somewhere, so along the
     # curve t -> sum t^e * (vector of free column e) their product is a
@@ -188,18 +230,31 @@ def isom_decide(p: ExtClass, p_target: ExtClass) -> GroupElem | None:
     # points must hit a unit.
     for t in range(2 * len(free_cols) + 1):
         weights = {f: t ** e for e, f in enumerate(free_cols)}
-        if value(idx_a, weights) and value(idx_d, weights):
+        if all(sum(v * weights[f] for f, v in red.items()) for red in residuals):
             break
     else:
         raise ConsistencyError("no unit-determinant point found on the solution space")
-    vec: dict[int, Fraction | int] = {f: w for f, w in weights.items() if w}
-    for c, row in pivots.items():
-        s = value(c, weights)
+    # The kernel vector is nums / den; row c gives
+    # x_c = -sum_{cc > c} row[cc] x_cc / row[c].
+    nums = {f: w for f, w in weights.items() if w}
+    den = 1
+    for c in reversed(order):
+        row = pivots[c]
+        s = sum(v * nums[cc] for cc, v in row.items() if cc in nums)
         if s:
-            vec[c] = Fraction(-s, row[c])
+            lead = row[c]
+            g = gcd(s, lead)
+            s, lead = s // g, lead // g
+            if lead < 0:
+                s, lead = -s, -lead
+            if lead != 1:
+                den *= lead
+                for cc in nums:
+                    nums[cc] *= lead
+            nums[c] = -s
 
     def rep(basis: list, first: int) -> RingElem:
-        return RingElem(ring, {mono: vec[u] for u, mono in enumerate(basis, first) if u in vec})
+        return _normal(ring, den, {mono: nums[u] for u, mono in enumerate(basis, first) if u in nums})
 
     witness = GroupElem.from_reps(params, rep(basis0, 0), RingElem.zero(ring),
                                   rep(basis_c, 2 * n0), rep(basis0, n0))
@@ -317,8 +372,9 @@ def brute_force_hom(p: ExtClass, p_target: ExtClass,
     both bounds: it is built once for degree+1, and the degree system is
     its columns with l <= degree.  Each entry of a row is set by its
     unknown alone, so dropping the other columns (and the rows left
-    empty) gives exactly the system built for degree.  Each pair's B is
-    T(p') A T(p)^-1, the same product the solver's system is read from.
+    empty) gives exactly the system built for degree.  Each basis pair's
+    A holds the nonzero entries of one sparse nullspace vector, and its B
+    is T(p') A T(p)^-1, the same product the solver's system is read from.
     """
     if p.params != p_target.params:
         raise ValueError("mismatched moduli parameters")
@@ -345,8 +401,10 @@ def brute_force_hom(p: ExtClass, p_target: ExtClass,
 
     pairs = []
     for vec in basis:
-        a_mat = Mat2(*(RingElem._raw(ring, {mono: c for mono, c
-                                            in zip(monos, vec[e * n:(e + 1) * n]) if c})
-                       for e in range(4)))
+        entries: list[dict] = [{}, {}, {}, {}]
+        for u, x in vec.items():
+            e, idx = divmod(u, n)
+            entries[e][monos[idx]] = x
+        a_mat = Mat2(*(RingElem._raw(ring, terms) for terms in entries))
         pairs.append(CocyclePair(params, a_mat, t_target * a_mat * t_source_inv))
     return len(basis), pairs

@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals on sparse integer rows.
 
-Input rows are dicts mapping column index -> rational (a Fraction or an
-int).  Columns are integers 0..ncols-1.  Everything is exact; there are
-no pivot thresholds.
+Input rows are dicts mapping column index -> rational (an int or a
+Fraction); integer rows are taken as they are.  Columns are integers
+0..ncols-1.  Everything is exact; there are no pivot thresholds.
 
 Each input row is scaled by the lcm of its denominators and kept
 primitive: after every step the gcd of its entries (its content) is
@@ -20,17 +20,18 @@ A pivot row's entries are added to every row it clears, so short pivot
 rows spread fewer nonzeros and smaller integers through the later rows
 than long ones taken first.  The order changes neither the pivot
 columns nor the result: the leading columns are the lexicographically
-first column basis of the row space.
+first column basis of the row space.  Callers that need less than a
+basis read what they need from these rows with ``_clear``.
 
-``reduced_echelon`` back-eliminates those rows once, from the highest
+``nullspace`` back-eliminates the echelon rows once, from the highest
 pivot down, into reduced echelon form, where row c has only its pivot
 column c and free columns.  Such a primitive integer row is unique up
 to sign, a multiple of the reduced row echelon row of column c; rows
 with a negative pivot entry are negated, so the form does not depend on
-the input order of the rows.  ``nullspace`` reads its basis off that
-form: the vector of a free column f is 1 at f, -row_c[f] / row_c[c] at
-each pivot column c, and 0 elsewhere.  This is the unique nullspace
-vector whose free coordinates are those of e_f.
+the input order of the rows.  The basis is read off that form: the
+vector of a free column f is 1 at f, -row_c[f] / row_c[c] at each pivot
+column c whose row holds f, and 0 elsewhere.  This is the unique
+nullspace vector whose free coordinates are those of e_f.
 """
 
 from __future__ import annotations
@@ -49,9 +50,10 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 
 def _integer_row(row: dict) -> dict[int, int]:
     """The primitive integer multiple of a row of rationals, zeros dropped."""
-    row = {c: v for c, v in row.items() if v}
     den = lcm(*(v.denominator for v in row.values()))
-    return _primitive({c: v.numerator * (den // v.denominator) for c, v in row.items()})
+    if den == 1:
+        return _primitive({c: v.numerator for c, v in row.items() if v})
+    return _primitive({c: v.numerator * (den // v.denominator) for c, v in row.items() if v})
 
 
 def _clear(row: dict[int, int], col: int, piv: dict[int, int]) -> dict[int, int]:
@@ -88,16 +90,14 @@ def echelon(rows: list[dict]) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def reduced_echelon(rows: list[dict]) -> dict[int, dict[int, int]]:
-    """Reduced echelon form; returns pivot column -> primitive integer row.
+def _reduced_echelon(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """The echelon rows back-eliminated in place into reduced echelon form.
 
     Row c holds its pivot column c, with a positive entry, and free
-    columns only: the echelon rows are back-eliminated once, highest
-    pivot first, and negated where the pivot entry is negative.
+    columns only.
     """
-    pivots = echelon(rows)
-    # In place: the other pivot columns of row c lie above c, and their
-    # rows already hold only their own pivot column and free columns, so
+    # The other pivot columns of row c lie above c, and their rows
+    # already hold only their own pivot column and free columns, so
     # clearing with them adds no pivot column.
     for c in sorted(pivots, reverse=True):
         row = pivots[c]
@@ -107,21 +107,23 @@ def reduced_echelon(rows: list[dict]) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def nullspace(rows: list[dict], ncols: int) -> list[list[Fraction]]:
-    """A basis of the right nullspace, one dense vector per free column.
+def nullspace(rows: list[dict], ncols: int) -> list[dict[int, Fraction]]:
+    """A basis of the right nullspace, one sparse vector per free column.
 
-    Vectors follow the free columns in increasing order; the vector of
-    free column f is 1 at f and 0 at every other free column.
+    Each vector maps column -> nonzero Fraction, in increasing column
+    order.  Vectors follow the free columns in increasing order; the
+    vector of free column f is 1 at f and 0 at every other free column.
     """
-    pivots = reduced_echelon(rows)
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    zero = Fraction(0)
-    basis = {f: [zero] * ncols for f in free_cols}
-    for f, vec in basis.items():
-        vec[f] = Fraction(1)
-    for c, row in pivots.items():
+    pivots = _reduced_echelon(echelon(rows))
+    basis: dict[int, dict[int, Fraction]] = {f: {} for f in range(ncols) if f not in pivots}
+    # Row c holds free columns above c only, so each vector gets its
+    # pivot columns in increasing order and all of them below f.
+    for c in sorted(pivots):
+        row = pivots[c]
         lead = row[c]
         for f, v in row.items():
             if f != c:
                 basis[f][c] = Fraction(-v, lead)
+    for f, vec in basis.items():
+        vec[f] = Fraction(1)
     return list(basis.values())

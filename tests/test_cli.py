@@ -283,6 +283,11 @@ def test_exit_code_on_bad_flags():
     assert proc.returncode == 1
     proc = run_cli(["nonsense"])
     assert proc.returncode == 1
+    for to in ("0", "-2"):
+        proc = run_cli(["restrict", "--k", "1", "--j", "2", "--m", "3", "--to", to],
+                       json.dumps({"p": [1, 2, 5]}))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert f"restriction target level m must be at least 1, got {to}" in proc.stderr
 
 
 def test_payload_params_must_match_flags():

@@ -117,6 +117,11 @@ def test_isom_witness_verified_by_action():
         assert w.b.rep.is_zero()
 
 
+def dense(basis, ncols):
+    """The sparse nullspace vectors as dense lists of Fractions."""
+    return [[vec.get(c, Fraction(0)) for c in range(ncols)] for vec in basis]
+
+
 def reference_witness(p, q):
     """The witness search as first written: at each t, every entry of every
     nullspace vector is combined.  Returns (t, combined vector) or None.
@@ -124,7 +129,7 @@ def reference_witness(p, q):
     ring = p.params.ring
     n0 = h0_dim(0, ring)
     ncols = 2 * n0 + h0_dim(2 * p.params.j, ring)
-    basis = linalg.nullspace(build_linear_system(p, q), ncols)
+    basis = dense(linalg.nullspace(build_linear_system(p, q), ncols), ncols)
     for t in range(2 * len(basis) + 1):
         cand = [Fraction(0)] * ncols
         scale = Fraction(1)
@@ -137,6 +142,23 @@ def reference_witness(p, q):
         if cand[0] and cand[n0]:
             return t, cand
     return None
+
+
+def forced_or_reference_witness(p, q):
+    """reference_witness, with its answer taken at once where it is forced.
+
+    When a(0,0) or d(0,0) is zero on every nullspace vector, every
+    combination is zero there too, so the search tries every t and
+    returns None: 9 s at (1, 6, 8) and 50 s at (2, 8, 10) on full
+    independent classes.  Otherwise the search runs as written.
+    """
+    ring = p.params.ring
+    n0 = h0_dim(0, ring)
+    ncols = 2 * n0 + h0_dim(2 * p.params.j, ring)
+    basis = dense(linalg.nullspace(build_linear_system(p, q), ncols), ncols)
+    if any(all(not vec[idx] for vec in basis) for idx in (0, n0)):
+        return None
+    return reference_witness(p, q)
 
 
 # Isomorphic pairs at (1, 3, 4) where the sum of the nullspace basis has
@@ -173,19 +195,36 @@ def test_isom_witness_matches_reference_search():
         cases += [(params, p, p), (params, p, act(g, p)), (params, q, act(g, q)),
                   (params, zero, zero), (params, p, q), (params, q, p), (params, p, zero),
                   (params, zero, q)]
+    search = [reference_witness] * len(cases)
+    # Full classes at the upper rungs, seeds 11 and 12: (p, act(g, p)) and
+    # an independent (p, q), whose forced None the search would take
+    # seconds to a minute to reach.  The isomorphic full pair at
+    # (1, 10, 12) takes the search about 2 s; the independent one far more.
+    for seed in (11, 12):
+        for (k, j, m) in [(1, 6, 8), (2, 8, 10)] + [(1, 10, 12)] * (seed == 11):
+            params = params_of(k, j, m)
+            rng = substream(seed, 100 * k + 10 * j + m)
+            p, q = full_class(params, rng), full_class(params, rng)
+            g = sample_group_elem(params, rng, max_terms=10 ** 6)
+            cases.append((params, p, act(g, p)))
+            search.append(reference_witness)
+            if m < 12:
+                cases.append((params, p, q))
+                search.append(forced_or_reference_witness)
     t_used, columns, verdicts = set(), set(), []
-    for params, p, q in cases:
+    for (params, p, q), reference in zip(cases, search):
         ring = params.ring
         basis0, basis_c = h0_basis(0, ring), h0_basis(2 * params.j, ring)
         n0 = len(basis0)
-        pivots = linalg.reduced_echelon(build_linear_system(p, q))
+        pivots = linalg.echelon(build_linear_system(p, q))
         columns.add((0 in pivots, n0 in pivots))
-        found = reference_witness(p, q)
+        found = reference(p, q)
         w = isom_decide(p, q)
         verdicts.append(w is not None)
         if found is None:
             assert w is None
             continue
+        assert w is not None
         t, vec = found
         t_used.add(t)
         assert w.a.rep == RingElem(ring, dict(zip(basis0, vec[:n0])))
@@ -194,7 +233,7 @@ def test_isom_witness_matches_reference_search():
         assert w.b.rep.is_zero()
     assert t_used == {1, 2}
     assert columns == {(False, False), (False, True), (True, False), (True, True)}
-    assert verdicts.count(False) >= 8
+    assert verdicts.count(False) >= 12 and verdicts.count(True) >= 39
 
 
 def test_linear_system_layout():
@@ -214,8 +253,8 @@ def test_linear_system_layout():
 
 def test_linear_system_is_minus_the_band_obstruction():
     # Row r applied to the coefficients of (a, d, c) is minus the band
-    # coefficient r of obstruction(a, d, c): every unknown's index and
-    # sign is pinned, block by block.
+    # coefficient r of obstruction(a, d, c) times D = den(p) den(q): every
+    # unknown's index and sign is pinned, block by block.
     for (k, j, m) in [(1, 2, 3), (1, 3, 4), (2, 4, 3)]:
         params = params_of(k, j, m)
         ring = params.ring
@@ -230,9 +269,11 @@ def test_linear_system_is_minus_the_band_obstruction():
                        ((basis0, x[:len(basis0)]), (basis0, x[len(basis0):2 * len(basis0)]),
                         (basis_c, x[2 * len(basis0):])))
             obs = obstruction(a, d, c, p, q)
-            image = [sum((v * x[u] for u, v in row.items()), Fraction(0))
-                     for row in build_linear_system(p, q)]
-            assert image == [-obs.coeff(l, i) for (i, l) in ext1_band(params)]
+            rows = build_linear_system(p, q)
+            assert all(type(v) is int for row in rows for v in row.values())
+            image = [sum((v * x[u] for u, v in row.items()), Fraction(0)) for row in rows]
+            den = p.p.den * q.p.den
+            assert image == [-den * obs.coeff(l, i) for (i, l) in ext1_band(params)]
 
 
 def reference_build_linear_system(p: ExtClass, p_target: ExtClass) -> list[dict[int, Fraction]]:
@@ -258,9 +299,11 @@ def reference_build_linear_system(p: ExtClass, p_target: ExtClass) -> list[dict[
     return rows
 
 
-def assert_same_rows(rows, expected):
-    assert [list(row.items()) for row in rows] == [list(row.items()) for row in expected]
-    assert all(type(v) is Fraction for row in rows for v in row.values())
+def assert_same_rows(rows, expected, den):
+    """rows are exactly den times the rational rows expected, in integers."""
+    assert [list(row.items()) for row in rows] == \
+        [[(u, den * v) for u, v in row.items()] for row in expected]
+    assert all(type(v) is int for row in rows for v in row.values())
 
 
 def test_linear_system_matches_per_unknown_reference():
@@ -277,12 +320,14 @@ def test_linear_system_matches_per_unknown_reference():
         classes = sparse + two_term + full + [ExtClass.zero(params)]
         pairs = [(p, q) for p in classes for q in classes] + [(p, act(g, p)) for p in full]
         for p, q in pairs:
-            assert_same_rows(build_linear_system(p, q), reference_build_linear_system(p, q))
+            assert_same_rows(build_linear_system(p, q), reference_build_linear_system(p, q),
+                             p.p.den * q.p.den)
             kinds.add((len(p.p.terms), len(q.p.terms), p == q))
     params = params_of(1, 6, 8)
     rng = substream(8128, 168)
     p, q = full_class(params, rng), full_class(params, rng)
-    assert_same_rows(build_linear_system(p, q), reference_build_linear_system(p, q))
+    assert_same_rows(build_linear_system(p, q), reference_build_linear_system(p, q),
+                     p.p.den * q.p.den)
     assert len(kinds) > 40
 
 
@@ -536,7 +581,7 @@ def reference_hom_space(p, p_target, degree):
                         row = rows.setdefault((b_entry, ll, ii), {})
                         row[col] = row.get(col, Fraction(0)) + coeff
     row_list = [r for r in rows.values() if r]
-    basis = linalg.nullspace(row_list, ncols)
+    basis = dense(linalg.nullspace(row_list, ncols), ncols)
     return basis, monos
 
 

@@ -8,7 +8,8 @@ import pytest
 
 from negcurve import linalg
 from negcurve.extensions import ExtClass, ModuliParams, basis_W
-from negcurve.homspaces import brute_force_hom
+from negcurve.groupoid import act, sample_ext_class, sample_group_elem, substream
+from negcurve.homspaces import brute_force_hom, build_linear_system
 from negcurve.ring import RingParams
 
 
@@ -29,13 +30,23 @@ def apply_rows(rows, vec):
     return [sum((v * vec[c] for c, v in row.items()), Fraction(0)) for row in rows]
 
 
+def dense(basis, ncols):
+    """The sparse nullspace vectors as dense lists of Fractions."""
+    out = []
+    for vec in basis:
+        assert all(type(v) is Fraction and v for v in vec.values())
+        assert list(vec) == sorted(vec)
+        out.append([vec.get(c, Fraction(0)) for c in range(ncols)])
+    return out
+
+
 def test_rank_plus_nullity():
     rng = random.Random(0)
     for _ in range(30):
         nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
         rows = random_rows(rng, nrows, ncols)
         r = len(linalg.echelon(rows))
-        basis = linalg.nullspace(rows, ncols)
+        basis = dense(linalg.nullspace(rows, ncols), ncols)
         assert r + len(basis) == ncols
         for vec in basis:
             assert all(v == 0 for v in apply_rows(rows, vec))
@@ -44,7 +55,7 @@ def test_rank_plus_nullity():
 def test_nullspace_vectors_independent():
     rng = random.Random(1)
     rows = random_rows(rng, 4, 7)
-    basis = linalg.nullspace(rows, 7)
+    basis = dense(linalg.nullspace(rows, 7), 7)
     as_rows = [{c: v for c, v in enumerate(vec) if v} for vec in basis]
     assert len(linalg.echelon(as_rows)) == len(basis)
 
@@ -53,7 +64,7 @@ def test_rank_of_identity_and_zero():
     eye = [{i: Fraction(1)} for i in range(5)]
     assert len(linalg.echelon(eye)) == 5
     assert len(linalg.echelon([{} for _ in range(3)])) == 0
-    assert linalg.nullspace([], 4) == [
+    assert dense(linalg.nullspace([], 4), 4) == [
         [Fraction(int(i == j)) for i in range(4)] for j in range(4)
     ]
 
@@ -66,6 +77,23 @@ def test_echelon_rows_are_primitive_integer_rows():
     for c, row in pivots.items():
         assert min(row) == c
         assert all(type(v) is int for v in row.values())
+    # The band system in integers, each row the rational row times
+    # D = den(p) den(q), has the echelon rows of the rational rows.
+    grid = [(k, j, m) for k in (1, 2, 3) for j in (2, 3) for m in (2, 3, 4)
+            if (2 * j - 2) // k >= 1]
+    for k, j, m in grid:
+        params = ModuliParams(RingParams(k, m), j)
+        rng = substream(5353, 100 * k + 10 * j + m)
+        full = ExtClass.from_vector(params, [big_rational(rng) for _ in basis_W(params)])
+        sparse = sample_ext_class(params, rng)
+        g = sample_group_elem(params, rng, max_terms=10 ** 6)
+        assert full.p.den > 1
+        for p, q in [(full, act(g, full)), (full, sparse), (sparse, full), (sparse, sparse)]:
+            rows = build_linear_system(p, q)
+            den = p.p.den * q.p.den
+            assert all(type(v) is int for row in rows for v in row.values())
+            assert linalg.echelon(rows) == linalg.echelon(
+                [{c: Fraction(v, den) for c, v in row.items()} for row in rows])
 
 
 # -- reference: the earlier Fraction elimination, verbatim --------------------
@@ -203,14 +231,14 @@ def hom_system():
 @pytest.mark.parametrize("name,rows,ncols", SYSTEMS, ids=[s[0] for s in SYSTEMS])
 def test_matches_fraction_reference(name, rows, ncols):
     assert len(linalg.echelon(rows)) == rank(rows)
-    assert bits(linalg.nullspace(rows, ncols)) == bits(nullspace(rows, ncols))
+    assert bits(dense(linalg.nullspace(rows, ncols), ncols)) == bits(nullspace(rows, ncols))
 
 
 def test_hom_system_matches_fraction_reference(hom_system):
     rows, ncols = hom_system
     assert len(rows) > 100 and ncols > 100
     assert len(linalg.echelon(rows)) == rank(rows)
-    assert bits(linalg.nullspace(rows, ncols)) == bits(nullspace(rows, ncols))
+    assert bits(dense(linalg.nullspace(rows, ncols), ncols)) == bits(nullspace(rows, ncols))
 
 
 def sympy_rref_nullspace(rows, ncols):
@@ -238,14 +266,14 @@ def sympy_rref_nullspace(rows, ncols):
 def test_matches_sympy_rref(name, rows, ncols):
     r, basis = sympy_rref_nullspace(rows, ncols)
     assert len(linalg.echelon(rows)) == r
-    assert linalg.nullspace(rows, ncols) == basis
+    assert dense(linalg.nullspace(rows, ncols), ncols) == basis
 
 
 def test_hom_system_matches_sympy_rref(hom_system):
     rows, ncols = hom_system
     r, basis = sympy_rref_nullspace(rows, ncols)
     assert len(linalg.echelon(rows)) == r
-    assert linalg.nullspace(rows, ncols) == basis
+    assert dense(linalg.nullspace(rows, ncols), ncols) == basis
 
 
 # -- the reduced echelon form and the nullspace read from it -------------------
@@ -267,21 +295,21 @@ def read_nullspace(pivots, ncols):
 
 @pytest.mark.parametrize("name,rows,ncols", SYSTEMS, ids=[s[0] for s in SYSTEMS])
 def test_reduced_echelon_rows_hold_pivot_and_free_columns(name, rows, ncols):
-    pivots = linalg.reduced_echelon(rows)
+    pivots = linalg._reduced_echelon(linalg.echelon(rows))
     assert sorted(pivots) == sorted(linalg.echelon(rows))
     for c, row in pivots.items():
         assert min(row) == c and row[c] != 0
         assert all(cc == c or cc not in pivots for cc in row)
         assert all(type(v) is int and v for v in row.values())
         assert gcd(*row.values()) == 1
-    assert bits(linalg.nullspace(rows, ncols)) == bits(read_nullspace(pivots, ncols))
+    assert bits(dense(linalg.nullspace(rows, ncols), ncols)) == bits(read_nullspace(pivots, ncols))
 
 
 def test_hom_system_reduced_echelon(hom_system):
     rows, ncols = hom_system
-    pivots = linalg.reduced_echelon(rows)
+    pivots = linalg._reduced_echelon(linalg.echelon(rows))
     assert all(cc == c or cc not in pivots for c, row in pivots.items() for cc in row)
-    assert bits(linalg.nullspace(rows, ncols)) == bits(read_nullspace(pivots, ncols))
+    assert bits(dense(linalg.nullspace(rows, ncols), ncols)) == bits(read_nullspace(pivots, ncols))
 
 
 # -- independence of the input row order ---------------------------------------
@@ -298,11 +326,11 @@ def orderings(rows):
 
 
 def assert_order_independent(rows):
-    pivots = linalg.reduced_echelon(rows)
+    pivots = linalg._reduced_echelon(linalg.echelon(rows))
     assert all(row[c] > 0 for c, row in pivots.items())
     keys = sorted(linalg.echelon(rows))
     for other in orderings(rows):
-        assert linalg.reduced_echelon(other) == pivots
+        assert linalg._reduced_echelon(linalg.echelon(other)) == pivots
         assert sorted(linalg.echelon(other)) == keys
 
 
