@@ -148,9 +148,10 @@ def forced_or_reference_witness(p, q):
     """reference_witness, with its answer taken at once where it is forced.
 
     When a(0,0) or d(0,0) is zero on every nullspace vector, every
-    combination is zero there too, so the search tries every t and
-    returns None: 9 s at (1, 6, 8) and 50 s at (2, 8, 10) on full
-    independent classes.  Otherwise the search runs as written.
+    combination is zero there too, so the search would try every t,
+    combining every dense vector at each, and return None; on full
+    independent classes at (2, 8, 10) that is about a minute.  Otherwise
+    the search runs as written.
     """
     ring = p.params.ring
     n0 = h0_dim(0, ring)
@@ -197,9 +198,10 @@ def test_isom_witness_matches_reference_search():
                   (params, zero, q)]
     search = [reference_witness] * len(cases)
     # Full classes at the upper rungs, seeds 11 and 12: (p, act(g, p)) and
-    # an independent (p, q), whose forced None the search would take
-    # seconds to a minute to reach.  The isomorphic full pair at
-    # (1, 10, 12) takes the search about 2 s; the independent one far more.
+    # an independent (p, q), whose forced None is taken at once.  At
+    # (1, 10, 12) only the isomorphic pair of seed 11 is searched; the
+    # search stops at t = 1 there, and would run through every t on the
+    # independent pair.
     for seed in (11, 12):
         for (k, j, m) in [(1, 6, 8), (2, 8, 10)] + [(1, 10, 12)] * (seed == 11):
             params = params_of(k, j, m)

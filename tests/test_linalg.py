@@ -77,6 +77,9 @@ def test_echelon_rows_are_primitive_integer_rows():
     for c, row in pivots.items():
         assert min(row) == c
         assert all(type(v) is int for v in row.values())
+    # Explicit zeros are dropped from integer and rational rows alike.
+    assert linalg.echelon([{0: 0, 1: 2, 2: 4}]) == {1: {1: 1, 2: 2}}
+    assert linalg.echelon([{0: Fraction(0), 1: Fraction(2, 3)}]) == {1: {1: 1}}
     # The band system in integers, each row the rational row times
     # D = den(p) den(q), has the echelon rows of the rational rows.
     grid = [(k, j, m) for k in (1, 2, 3) for j in (2, 3) for m in (2, 3, 4)
