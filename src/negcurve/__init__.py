@@ -10,25 +10,22 @@ Hom/Ext dimensions, all over the rationals with zero tolerance.
 from .ring import (ConsistencyError, RingElem, RingParams, invert_unit, plus_part,
                    sector_split, truncate)
 from .sections import TwistedSection, cone_check, h0_basis, h0_dim, h1_dim
-from .extensions import (ExtClass, Mat2, ModuliParams, basis_W, class_is_zero,
-                         ext1_band, reduce_cocycle, restrict_level)
-from .groupoid import (CocyclePair, GroupElem, act, cocycle_matrices, extract_group_elem,
-                       induced_inverse, induced_product, sample_ext_class,
-                       sample_group_elem, substream, verify_groupoid)
-from .homspaces import (HomProfile, brute_force_hom, build_linear_system, hom_ext_dims,
-                        isom_decide, obstruction, spectral_differentials, witness_condition)
+from .extensions import (ExtClass, Mat2, ModuliParams, basis_W, reduce_cocycle,
+                         restrict_level)
+from .groupoid import (CocyclePair, GroupElem, act, cocycle_matrices, induced_inverse,
+                       induced_product, sample_ext_class, sample_group_elem, verify_groupoid)
+from .homspaces import (HomProfile, brute_force_hom, hom_ext_dims, isom_decide, obstruction,
+                        witness_condition)
 
 __all__ = [
     "ConsistencyError", "RingElem", "RingParams", "invert_unit", "plus_part",
     "sector_split", "truncate",
     "TwistedSection", "cone_check", "h0_basis", "h0_dim", "h1_dim",
-    "ExtClass", "Mat2", "ModuliParams", "basis_W", "class_is_zero",
-    "ext1_band", "reduce_cocycle", "restrict_level",
-    "CocyclePair", "GroupElem", "act", "cocycle_matrices", "extract_group_elem",
-    "induced_inverse", "induced_product", "sample_ext_class", "sample_group_elem",
-    "substream", "verify_groupoid",
-    "HomProfile", "brute_force_hom", "build_linear_system", "hom_ext_dims", "isom_decide",
-    "obstruction", "spectral_differentials", "witness_condition",
+    "ExtClass", "Mat2", "ModuliParams", "basis_W", "reduce_cocycle", "restrict_level",
+    "CocyclePair", "GroupElem", "act", "cocycle_matrices", "induced_inverse",
+    "induced_product", "sample_ext_class", "sample_group_elem", "verify_groupoid",
+    "HomProfile", "brute_force_hom", "hom_ext_dims", "isom_decide", "obstruction",
+    "witness_condition",
 ]
 
 __version__ = "0.1.0"

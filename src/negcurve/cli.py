@@ -44,8 +44,11 @@ def _ring_params(args) -> RingParams:
         raise ValueError("one of --m or --level is required")
     if args.m is not None and args.level is not None:
         raise ValueError("--m and --level are mutually exclusive")
-    m = args.m if args.m is not None else args.level + 1
-    return RingParams(args.k, m)
+    if args.m is not None:
+        return RingParams(args.k, args.m)
+    if args.level < 0:
+        raise ValueError("--level must be a non-negative integer")
+    return RingParams(args.k, args.level + 1)
 
 
 def _check_size(count: int, what: str) -> None:

@@ -10,7 +10,6 @@ growing once k*i exceeds 2j - 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .ring import (RingElem, RingParams, _fields, elem_from_dict, elem_to_dict, invert_unit,
                    sector_split, truncate)
@@ -59,11 +58,6 @@ def basis_W(params: ModuliParams) -> list[tuple[int, int]]:
     return [(i, l) for i in range(1, params.i_cap() + 1) for l in params.band_rows(i)]
 
 
-def ext1_band(params: ModuliParams) -> list[tuple[int, int]]:
-    """Band monomials of Ext^1(O(j), O(-j)) over all u-orders, including i = 0."""
-    return [(i, l) for i in range(params.m) for l in params.band_rows(i)]
-
-
 def class_is_zero(y: RingElem, params: ModuliParams) -> bool:
     """Whether y is a coboundary: no monomials inside the band."""
     return not any(params.in_band(l, i) for (l, i) in y.nums)
@@ -86,6 +80,9 @@ class ExtClass:
     def __setattr__(self, name, value):
         raise AttributeError("ExtClass is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("ExtClass is immutable")
+
     @classmethod
     def zero(cls, params: ModuliParams) -> "ExtClass":
         return cls(params, RingElem.zero(params.ring))
@@ -97,12 +94,6 @@ class ExtClass:
         if len(coeffs) != len(basis):
             raise ValueError(f"expected {len(basis)} coefficients, got {len(coeffs)}")
         return cls(params, RingElem(params.ring, {(l, i): c for (i, l), c in zip(basis, coeffs)}))
-
-    def to_vector(self) -> list[Fraction]:
-        return [self.p.coeff(l, i) for (i, l) in basis_W(self.params)]
-
-    def is_zero(self) -> bool:
-        return self.p.is_zero()
 
     def __eq__(self, other):
         return isinstance(other, ExtClass) and self.params == other.params and self.p == other.p
@@ -191,9 +182,3 @@ class Mat2:
             (-self.a21) * inv_det,
             self.a11 * inv_det,
         )
-
-    @classmethod
-    def identity(cls, ring: RingParams) -> "Mat2":
-        one = RingElem.one(ring)
-        zero = RingElem.zero(ring)
-        return cls(one, zero, zero, one)

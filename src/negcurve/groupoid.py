@@ -57,6 +57,9 @@ class GroupElem:
     def __setattr__(self, name, value):
         raise AttributeError("GroupElem is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("GroupElem is immutable")
+
     @classmethod
     def from_reps(cls, params: ModuliParams, a: RingElem, b: RingElem, c: RingElem,
                   d: RingElem) -> "GroupElem":
@@ -69,12 +72,6 @@ class GroupElem:
         one = RingElem.one(params.ring)
         zero = RingElem.zero(params.ring)
         return cls.from_reps(params, one, zero, zero, one)
-
-    @classmethod
-    def diagonal(cls, params: ModuliParams, lam, mu) -> "GroupElem":
-        ring = params.ring
-        return cls.from_reps(params, RingElem.constant(ring, lam), RingElem.zero(ring),
-                             RingElem.zero(ring), RingElem.constant(ring, mu))
 
     def matrix(self) -> Mat2:
         """First-chart matrix (a, b_U; c_U, d)."""
@@ -110,13 +107,8 @@ class GroupElem:
 class CocyclePair:
     """Chart-regular matrices (A, B) intertwining two transition matrices."""
 
-    params: ModuliParams
     A: Mat2
     B: Mat2
-
-    def compose(self, other: "CocyclePair") -> "CocyclePair":
-        """self after other: entrywise matrix products."""
-        return CocyclePair(self.params, self.A * other.A, self.B * other.B)
 
     def intertwines(self, p: ExtClass, p_target: ExtClass) -> bool:
         return self.B * p.transition() == p_target.transition() * self.A
@@ -173,8 +165,7 @@ def act(g: GroupElem, p: ExtClass) -> ExtClass:
 
 def _build_pair(g: Mat2, p: ExtClass, target: ExtClass, check: bool) -> CocyclePair:
     """The canonical cocycle pair of g = (a, b; c, d) from p to target = g.p."""
-    params = p.params
-    j = params.j
+    j = p.params.j
     a_rep, b_rep, c_rep, d_rep = g.entries()
 
     f_plus, f_v = cech_parts(c_rep, target.p, j)
@@ -191,8 +182,7 @@ def _build_pair(g: Mat2, p: ExtClass, target: ExtClass, check: bool) -> CocycleP
     a12 = b_rep + succ.shift(-j)
     b12 = b_rep.shift(2 * j) - prec.shift(j)
 
-    pair = CocyclePair(params, Mat2(a11, a12, c_rep, a22),
-                       Mat2(b11, b12, c_rep.shift(-2 * j), b22))
+    pair = CocyclePair(Mat2(a11, a12, c_rep, a22), Mat2(b11, b12, c_rep.shift(-2 * j), b22))
     if check:
         if not pair.is_chart_regular():
             raise ConsistencyError("cocycle pair is not chart regular")

@@ -122,12 +122,12 @@ def build_linear_system(p: ExtClass, p_target: ExtClass) -> list[dict[int, int]]
     """The band rows of [d1 | d2] times D = den(p) den(p'), in integers.
 
     Each row is a sparse map unknown -> nonzero integer, the rational row
-    times D.  One row per monomial of ext1_band.  The unknowns are the
-    a-basis, the d-basis (both h0_basis(0)), then the c-basis
-    (h0_basis(2j)), in order, and each row holds its unknowns in that
-    order.  The a- and d-columns are band lookups of the shifts
-    -z^l u^i p and z^l u^i p', read from nums as -den(p') nums(p) and
-    den(p) nums(p').
+    times D; one row per band monomial z^l u^i, k*i - j < l < j, in (i, l)
+    order over 0 <= i < m.  The unknowns are the a-basis, the d-basis
+    (both h0_basis(0)), then the c-basis (h0_basis(2j)), in order, and
+    each row holds its unknowns in that order.  The a- and d-columns are
+    band lookups of the shifts -z^l u^i p and z^l u^i p', read from nums
+    as -den(p') nums(p) and den(p) nums(p').
 
     The c-columns are read from one running product.  Write
     a(t) = l - k*i for a term t = p_t z^l u^i of p, and b(s) likewise for
@@ -406,5 +406,5 @@ def brute_force_hom(p: ExtClass, p_target: ExtClass,
             e, idx = divmod(u, n)
             entries[e][monos[idx]] = x
         a_mat = Mat2(*(RingElem._raw(ring, terms) for terms in entries))
-        pairs.append(CocyclePair(params, a_mat, t_target * a_mat * t_source_inv))
+        pairs.append(CocyclePair(a_mat, t_target * a_mat * t_source_inv))
     return len(basis), pairs

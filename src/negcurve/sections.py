@@ -32,13 +32,6 @@ class TwistedSection:
                     f"term z^{l} u^{i} violates the O({self.s}) support bound"
                 )
 
-    @property
-    def params(self) -> RingParams:
-        return self.rep.params
-
-    def __mul__(self, other: "TwistedSection") -> "TwistedSection":
-        return TwistedSection(self.s + other.s, self.rep * other.rep)
-
     def to_dict(self) -> dict:
         data = elem_to_dict(self.rep)
         data["s"] = self.s

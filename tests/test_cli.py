@@ -288,6 +288,11 @@ def test_exit_code_on_bad_flags():
                        json.dumps({"p": [1, 2, 5]}))
         assert proc.returncode == 1 and proc.stdout == ""
         assert f"restriction target level m must be at least 1, got {to}" in proc.stderr
+    for argv in (["basis", "--k", "1", "--j", "2", "--level", "-1"],
+                 ["cohomology", "--k", "1", "--level", "-3", "--s", "1"]):
+        proc = run_cli(argv)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "--level" in proc.stderr
 
 
 def test_payload_params_must_match_flags():

@@ -7,12 +7,22 @@ from fractions import Fraction
 import pytest
 
 from negcurve.extensions import (ExtClass, Mat2, ModuliParams, basis_W, class_is_zero,
-                                 ext1_band, reduce_cocycle, restrict_level)
+                                 reduce_cocycle, restrict_level)
 from negcurve.ring import RingElem, RingParams
 
 
 def params_of(k, j, m):
     return ModuliParams(RingParams(k, m), j)
+
+
+def ext1_band(params):
+    """Band monomials (i, l) of Ext^1(O(j), O(-j)) over all u-orders, i = 0 included."""
+    return [(i, l) for i in range(params.m) for l in params.band_rows(i)]
+
+
+def to_vector(p):
+    """The coefficients of p in basis_W order."""
+    return [p.p.coeff(l, i) for (i, l) in basis_W(p.params)]
 
 
 def enumerate_band(k, j, m, include_zero_layer=False):
@@ -98,7 +108,7 @@ def test_reduce_cocycle_succ_at_threshold():
     params = params_of(1, 2, 3)
     y = RingElem.monomial(params.ring, 2, 2)
     p, f_u, f_v = reduce_cocycle(y, params)
-    assert p.is_zero()
+    assert p.p.is_zero()
     assert f_u == RingElem.monomial(params.ring, 0, 2)
     assert f_v.is_zero()
 
@@ -108,7 +118,7 @@ def test_reduce_cocycle_handles_split_zero_layer():
     ring = params.ring
     y = RingElem.monomial(ring, 3, 0) + RingElem.monomial(ring, -2, 0, 7)
     p, f_u, f_v = reduce_cocycle(y, params)
-    assert p.is_zero()
+    assert p.p.is_zero()
     assert f_u == RingElem.monomial(ring, 1, 0)
     assert f_v == RingElem.monomial(ring, 0, 0, 7)
 
@@ -230,7 +240,7 @@ def test_class_is_zero_iff_reduction_trivial():
             terms[(rng.randint(-4, 4), i)] = rng.randint(-5, 5)
         y = RingElem(ring, terms)
         p, _, _ = reduce_cocycle(y, params)
-        assert class_is_zero(y, params) == p.is_zero()
+        assert class_is_zero(y, params) == p.p.is_zero()
 
 
 def test_ext_class_validation():
@@ -244,7 +254,7 @@ def test_ext_class_validation():
 def test_ext_class_vector_round_trip():
     params = params_of(1, 2, 3)
     p = ExtClass.from_vector(params, [1, 2, 5])
-    assert p.to_vector() == [1, 2, 5]
+    assert to_vector(p) == [1, 2, 5]
     assert ExtClass.from_dict(p.to_dict()) == p
     with pytest.raises(ValueError, match="expected 3"):
         ExtClass.from_vector(params, [1, 2])
@@ -255,7 +265,7 @@ def test_restrict_level():
     p = ExtClass.from_vector(params, [1, 2, 5])
     q = restrict_level(p, 2)
     assert q.params.m == 2
-    assert q.to_vector() == [1, 2]
+    assert to_vector(q) == [1, 2]
     assert restrict_level(p, 3) == p
     with pytest.raises(ValueError, match="refine"):
         restrict_level(p, 4)
@@ -270,4 +280,5 @@ def test_transition_matrix_shape():
     assert mat.a12 == p.p
     assert mat.a21.is_zero()
     assert mat.det() == RingElem.one(params.ring)
-    assert mat * mat.inverse() == Mat2.identity(params.ring)
+    one, zero = RingElem.one(params.ring), RingElem.zero(params.ring)
+    assert mat * mat.inverse() == Mat2(one, zero, zero, one)

