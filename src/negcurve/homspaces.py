@@ -22,16 +22,16 @@ image of d1, of codimension rank [d1 | d2] - rank d1; the pivot columns
 give both ranks.
 An independent brute-force solver for intertwining matrix pairs
 cross-checks every dimension; its system is read from
-B = T(p') A T(p)^-1, one image T(p') E T(p)^-1 per unit matrix E, and
-built once for both of its degree bounds.  Its basis pairs are read
-from the sparse nullspace vectors.
+B = T(p') A T(p)^-1, one image T(p') E T(p)^-1 per unit matrix E, in
+integers, and built once for both of its degree bounds: the degree
+system is a column prefix.  Its basis pairs are read from the sparse
+nullspace vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 
 from . import linalg
@@ -332,33 +332,38 @@ def default_degree_bound(params: ModuliParams) -> int:
     return params.k * (params.m - 1) + 2 * params.j + 1
 
 
-def _hom_rows(t_target: Mat2, t_source_inv: Mat2, monos: list) -> list[dict[int, Fraction]]:
-    """The chart-regularity system for intertwining pairs, one row per
-    monomial of B that must vanish.
+def _hom_rows(t_target: Mat2, t_source_inv: Mat2, degree: int) -> list[dict[int, int]]:
+    """The integer chart-regularity system for intertwining pairs with A
+    in z-degrees 0..degree+1, one row per monomial of B that must vanish.
 
-    Unknowns are the coefficients of the four entries of A on the
-    monomials z^l u^i in monos, entry by entry.  The second-chart matrix
-    B = T(p') A T(p)^-1 is linear in them: the unknown z^l u^i of entry e
-    contributes z^l u^i times the image T(p') E_e T(p)^-1 of the unit
-    matrix E_e.  Each monomial of B with l > k*i must vanish.
+    The unknown z^l u^i of entry e of A contributes z^l u^i times the
+    image T(p') E_e T(p)^-1 of the unit matrix E_e to B = T(p') A T(p)^-1,
+    and each monomial of B with l > k*i must vanish.  Rows are scaled by
+    the lcm of the images' denominators.  The unknowns with l <= degree
+    are the column prefix u = e*n + i*(degree+1) + l < 4n, n = m*(degree+1),
+    in increasing order in each row; those with l = degree+1 follow, at
+    4n + e*m + i.
     """
     ring = t_target.a11.params
     k, m = ring.k, ring.m
+    n = m * (degree + 1)
     zero, one = RingElem.zero(ring), RingElem.one(ring)
     units = (Mat2(one, zero, zero, zero), Mat2(zero, one, zero, zero),
              Mat2(zero, zero, one, zero), Mat2(zero, zero, zero, one))
-    rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
-    for entry, unit in enumerate(units):
-        image = [(b_entry, elem.terms) for b_entry, elem
-                 in enumerate((t_target * unit * t_source_inv).entries()) if elem]
-        base = entry * len(monos)
-        for idx, (l, i) in enumerate(monos):
-            for b_entry, terms in image:
-                # The terms of z^l u^i times the image entry, truncated at u^m.
-                for (ll, ii), coeff in terms.items():
-                    ll, ii = ll + l, ii + i
-                    if ii < m and ll > k * ii:
-                        rows.setdefault((b_entry, ll, ii), {})[base + idx] = coeff
+    images = [(t_target * unit * t_source_inv).entries() for unit in units]
+    den = lcm(*(elem.den for image in images for elem in image))
+    rows: dict[tuple[int, int, int], dict[int, int]] = {}
+    for e, image in enumerate(images):
+        scaled = [(b, elem.nums.items(), den // elem.den) for b, elem in enumerate(image) if elem]
+        for i in range(m):
+            for l in range(degree + 2):
+                u = e * n + i * (degree + 1) + l if l <= degree else 4 * n + e * m + i
+                for b, nums, scale in scaled:
+                    # The terms of z^l u^i times the image entry, truncated at u^m.
+                    for (ll, ii), num in nums:
+                        ll, ii = ll + l, ii + i
+                        if ii < m and ll > k * ii:
+                            rows.setdefault((b, ll, ii), {})[u] = scale * num
     return list(rows.values())
 
 
@@ -370,7 +375,7 @@ def brute_force_hom(p: ExtClass, p_target: ExtClass,
     requires the dimension to be unchanged at degree+1; otherwise the
     degree bound was too small to have stabilized.  One system serves
     both bounds: it is built once for degree+1, and the degree system is
-    its columns with l <= degree.  Each entry of a row is set by its
+    its column prefix of l <= degree.  Each entry of a row is set by its
     unknown alone, so dropping the other columns (and the rows left
     empty) gives exactly the system built for degree.  Each basis pair's
     A holds the nonzero entries of one sparse nullspace vector, and its B
@@ -386,17 +391,12 @@ def brute_force_hom(p: ExtClass, p_target: ExtClass,
     t_target = p_target.transition()
     t_source_inv = p.transition().inverse()
     ring = params.ring
-    monos_next = [(l, i) for i in range(ring.m) for l in range(degree + 2)]
-    rows_next = _hom_rows(t_target, t_source_inv, monos_next)
-    monos = [(l, i) for (l, i) in monos_next if l <= degree]
-    n, n_next = len(monos), len(monos_next)
-    index = {mono: idx for idx, mono in enumerate(monos)}
-    column = {e * n_next + idx: e * n + index[mono]
-              for e in range(4) for idx, mono in enumerate(monos_next) if mono in index}
-    rows = [row for row in ({column[u]: x for u, x in row_next.items() if u in column}
-                            for row_next in rows_next) if row]
+    monos = [(l, i) for i in range(ring.m) for l in range(degree + 1)]
+    n = len(monos)
+    rows_next = _hom_rows(t_target, t_source_inv, degree)
+    rows = [r for r in ({u: x for u, x in row.items() if u < 4 * n} for row in rows_next) if r]
     basis = linalg.nullspace(rows, 4 * n)
-    if len(basis) != len(linalg.nullspace(rows_next, 4 * n_next)):
+    if len(basis) != len(linalg.nullspace(rows_next, 4 * (n + ring.m))):
         raise ValueError("degree bound too small")
 
     pairs = []

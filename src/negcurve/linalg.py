@@ -1,15 +1,15 @@
 """Exact linear algebra over the rationals on sparse integer rows.
 
-Input rows are dicts mapping column index -> rational (an int or a
-Fraction); integer rows are taken as they are.  Columns are integers
+Integer rows in, Fraction vectors out.  Input rows are dicts mapping
+column index -> int; zero entries are dropped.  Columns are integers
 0..ncols-1.  Everything is exact; there are no pivot thresholds.
 
-Each input row is scaled by the lcm of its denominators and kept
-primitive: after every step the gcd of its entries (its content) is
-divided out.  Elimination is fraction-free Gauss-Jordan in the spirit of
-Bareiss (Math. Comp. 22, 1968): an entry at column c is cleared from a
-row r by the pivot row p as (p[c] r - r[c] p) / g, with g = gcd(p[c], r[c]),
-so every row stays an integer multiple of a rational row of the system.
+Each row is kept primitive: after every step the gcd of its entries (its
+content) is divided out.  Elimination is fraction-free Gauss-Jordan in
+the spirit of Bareiss (Math. Comp. 22, 1968): an entry at column c is
+cleared from a row r by the pivot row p as (p[c] r - r[c] p) / g, with
+g = gcd(p[c], r[c]), so every row stays an integer multiple of a
+rational row of the system.
 
 ``echelon`` brings the rows to echelon form, one pivot row per leading
 column.  It takes the rows shortest first (fewest nonzero entries; a
@@ -37,7 +37,7 @@ nullspace vector whose free coordinates are those of e_f.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -46,14 +46,6 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     if g == 1:
         return row
     return {c: v // g for c, v in row.items()}
-
-
-def _integer_row(row: dict) -> dict[int, int]:
-    """The primitive integer multiple of a row of rationals, zeros dropped."""
-    den = lcm(*(v.denominator for v in row.values()))
-    if den == 1:
-        return _primitive({c: v.numerator for c, v in row.items() if v})
-    return _primitive({c: v.numerator * (den // v.denominator) for c, v in row.items() if v})
 
 
 def _clear(row: dict[int, int], col: int, piv: dict[int, int]) -> dict[int, int]:
@@ -71,15 +63,15 @@ def _clear(row: dict[int, int], col: int, piv: dict[int, int]) -> dict[int, int]
     return _primitive(out)
 
 
-def echelon(rows: list[dict]) -> dict[int, dict[int, int]]:
-    """Bring rows to echelon form; returns pivot column -> primitive integer row.
+def echelon(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Bring integer rows to echelon form; returns pivot column -> primitive row.
 
     The pivot rows have distinct leading columns, and the leading column
     of each is its key.  Rows are reduced in increasing order of their
     nonzero count.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for red in sorted(map(_integer_row, rows), key=len):
+    for red in sorted((_primitive({c: v for c, v in row.items() if v}) for row in rows), key=len):
         while red:
             c = min(red)
             piv = pivots.get(c)
@@ -107,7 +99,7 @@ def _reduced_echelon(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, i
     return pivots
 
 
-def nullspace(rows: list[dict], ncols: int) -> list[dict[int, Fraction]]:
+def nullspace(rows: list[dict[int, int]], ncols: int) -> list[dict[int, Fraction]]:
     """A basis of the right nullspace, one sparse vector per free column.
 
     Each vector maps column -> nonzero Fraction, in increasing column

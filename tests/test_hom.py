@@ -14,6 +14,7 @@ from negcurve.homspaces import (_c_differential, brute_force_hom, build_linear_s
                                 spectral_differentials, witness_condition)
 from negcurve.ring import RingElem, RingParams
 from negcurve.sections import h0_basis, h0_dim, h1_dim
+from test_linalg import integer_rows
 
 
 def params_of(k, j, m):
@@ -596,7 +597,7 @@ def reference_hom_space(p, p_target, degree):
                         row = rows.setdefault((b_entry, ll, ii), {})
                         row[col] = row.get(col, Fraction(0)) + coeff
     row_list = [r for r in rows.values() if r]
-    basis = dense(linalg.nullspace(row_list, ncols), ncols)
+    basis = dense(linalg.nullspace(integer_rows(row_list), ncols), ncols)
     return basis, monos
 
 
@@ -641,15 +642,28 @@ def test_brute_force_matches_reference_table(k, j, m, density):
 def test_brute_force_matches_reference_table_at_smallest_stable_degree(k, j, m, density):
     # The degree system is cut from the degree + 1 system; at the first
     # degree whose dimension has stabilized, one degree less has a
-    # smaller dimension, so every column with l = degree matters.
+    # smaller dimension, so every column with l = degree matters.  That
+    # degree is D = k(m-1) + 2j, one below the default bound.
     p, q = reference_case(k, j, m, density)
     dims = [len(reference_hom_space(p, q, d)[0]) for d in range(default_degree_bound(p.params) + 2)]
     degree = next(d for d in range(1, len(dims) - 1) if dims[d] == dims[d + 1])
+    assert degree == k * (m - 1) + 2 * j == default_degree_bound(p.params) - 1
     assert dims[degree - 1] < dims[degree]
     pairs = reference_pairs(p, q, degree)
     assert brute_force_hom(p, q, degree) == (len(pairs), pairs)
     with pytest.raises(ValueError, match="degree bound too small"):
         brute_force_hom(p, q, degree - 1)
+
+
+def test_brute_force_stabilizes_at_d_on_dense_1_6_8():
+    # The smallest stable degree D = k(m-1) + 2j, without the reference
+    # table: one degree less raises, and D gives the filtration count.
+    p, q = reference_case(1, 6, 8, "dense")
+    degree = 1 * (8 - 1) + 2 * 6
+    with pytest.raises(ValueError, match="degree bound too small"):
+        brute_force_hom(p, q, degree - 1)
+    dim = brute_force_hom(p, q, degree)[0]
+    assert dim == hom_ext_dims(p, q).dim_hom == 164
 
 
 def test_dense_profile_at_1_6_8():

@@ -1,16 +1,27 @@
-"""Exact rational row echelon, rank and nullspace."""
+"""Exact row echelon, rank and nullspace: integer rows in, Fraction vectors out."""
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from negcurve import linalg
 from negcurve.extensions import ExtClass, ModuliParams, basis_W
 from negcurve.groupoid import act, sample_ext_class, sample_group_elem, substream
-from negcurve.homspaces import brute_force_hom, build_linear_system
+from negcurve.homspaces import (_hom_rows, brute_force_hom, build_linear_system,
+                                default_degree_bound)
 from negcurve.ring import RingParams
+from negcurve.sections import h0_dim
+
+
+def integer_rows(rows):
+    """Each row of rationals times the lcm of its denominators, as ints."""
+    out = []
+    for row in rows:
+        den = lcm(*(Fraction(v).denominator for v in row.values()))
+        out.append({c: int(v * den) for c, v in row.items()})
+    return out
 
 
 def random_rows(rng, nrows, ncols, density=0.4):
@@ -45,8 +56,9 @@ def test_rank_plus_nullity():
     for _ in range(30):
         nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
         rows = random_rows(rng, nrows, ncols)
-        r = len(linalg.echelon(rows))
-        basis = dense(linalg.nullspace(rows, ncols), ncols)
+        ints = integer_rows(rows)
+        r = len(linalg.echelon(ints))
+        basis = dense(linalg.nullspace(ints, ncols), ncols)
         assert r + len(basis) == ncols
         for vec in basis:
             assert all(v == 0 for v in apply_rows(rows, vec))
@@ -55,13 +67,13 @@ def test_rank_plus_nullity():
 def test_nullspace_vectors_independent():
     rng = random.Random(1)
     rows = random_rows(rng, 4, 7)
-    basis = dense(linalg.nullspace(rows, 7), 7)
+    basis = dense(linalg.nullspace(integer_rows(rows), 7), 7)
     as_rows = [{c: v for c, v in enumerate(vec) if v} for vec in basis]
-    assert len(linalg.echelon(as_rows)) == len(basis)
+    assert len(linalg.echelon(integer_rows(as_rows))) == len(basis)
 
 
 def test_rank_of_identity_and_zero():
-    eye = [{i: Fraction(1)} for i in range(5)]
+    eye = [{i: 1} for i in range(5)]
     assert len(linalg.echelon(eye)) == 5
     assert len(linalg.echelon([{} for _ in range(3)])) == 0
     assert dense(linalg.nullspace([], 4), 4) == [
@@ -69,19 +81,27 @@ def test_rank_of_identity_and_zero():
     ]
 
 
+def test_rows_must_be_integer_rows():
+    for rows in ([{0: Fraction(1, 2)}], [{0: 2, 1: Fraction(3)}],
+                 [{1: 1}, {0: Fraction(2, 3), 2: 1}]):
+        with pytest.raises(TypeError):
+            linalg.echelon(rows)
+        with pytest.raises(TypeError):
+            linalg.nullspace(rows, 3)
+
+
 def test_echelon_rows_are_primitive_integer_rows():
-    rows = [{0: Fraction(1, 2), 2: Fraction(3, 4)}, {0: Fraction(2), 1: Fraction(6)}]
-    pivots = linalg.echelon(rows)
+    pivots = linalg.echelon([{0: 4, 2: 6}, {0: 2, 1: 6}])
     assert sorted(pivots) == [0, 1]
     assert pivots[0] == {0: 2, 2: 3}
     for c, row in pivots.items():
         assert min(row) == c
         assert all(type(v) is int for v in row.values())
-    # Explicit zeros are dropped from integer and rational rows alike.
+    # Explicit zeros are dropped.
     assert linalg.echelon([{0: 0, 1: 2, 2: 4}]) == {1: {1: 1, 2: 2}}
-    assert linalg.echelon([{0: Fraction(0), 1: Fraction(2, 3)}]) == {1: {1: 1}}
     # The band system in integers, each row the rational row times
-    # D = den(p) den(q), has the echelon rows of the rational rows.
+    # D = den(p) den(q), has the pivot columns and nullspace of the
+    # rational rows under the Fraction reference below.
     grid = [(k, j, m) for k in (1, 2, 3) for j in (2, 3) for m in (2, 3, 4)
             if (2 * j - 2) // k >= 1]
     for k, j, m in grid:
@@ -91,12 +111,14 @@ def test_echelon_rows_are_primitive_integer_rows():
         sparse = sample_ext_class(params, rng)
         g = sample_group_elem(params, rng, max_terms=10 ** 6)
         assert full.p.den > 1
+        ncols = 2 * h0_dim(0, params.ring) + h0_dim(2 * j, params.ring)
         for p, q in [(full, act(g, full)), (full, sparse), (sparse, full), (sparse, sparse)]:
             rows = build_linear_system(p, q)
             den = p.p.den * q.p.den
-            assert all(type(v) is int for row in rows for v in row.values())
-            assert linalg.echelon(rows) == linalg.echelon(
-                [{c: Fraction(v, den) for c, v in row.items()} for row in rows])
+            assert all(type(v) is int and v for row in rows for v in row.values())
+            rational = [{c: Fraction(v, den) for c, v in row.items()} for row in rows]
+            assert sorted(linalg.echelon(rows)) == sorted(echelon(rational))
+            assert dense(linalg.nullspace(rows, ncols), ncols) == nullspace(rational, ncols)
 
 
 # -- reference: the earlier Fraction elimination, verbatim --------------------
@@ -206,16 +228,27 @@ def bits(vectors):
     return [[(type(v), v.numerator, v.denominator) for v in vec] for vec in vectors]
 
 
-def dense_hom_system():
-    """The rows and width of the degree system of brute_force_hom on a full (1,3,4) class."""
+def dense_hom_class():
+    """A full (1,3,4) class with coefficients of about 10^6 over 10^6."""
     params = ModuliParams(RingParams(1, 4), 3)
     rng = random.Random("dense(1,3,4)")
-    p = ExtClass.from_vector(params, [big_rational(rng) for _ in basis_W(params)])
+    return ExtClass.from_vector(params, [big_rational(rng) for _ in basis_W(params)])
+
+
+def dense_hom_system():
+    """The rows and width of the degree system of brute_force_hom on a full (1,3,4) class.
+
+    The references take Fraction rows, so each integer row is divided by
+    its first entry: the same system, with entries of at most about half
+    the bits of the integer rows, which keeps sympy's RREF fast.
+    """
+    p = dense_hom_class()
     captured = []
     real = linalg.nullspace
 
     def capture(rows, ncols):
-        captured.append(([dict(r) for r in rows], ncols))
+        captured.append(([{c: Fraction(v, next(iter(r.values()))) for c, v in r.items()}
+                          for r in rows], ncols))
         return real(rows, ncols)
 
     linalg.nullspace = capture
@@ -233,15 +266,30 @@ def hom_system():
 
 @pytest.mark.parametrize("name,rows,ncols", SYSTEMS, ids=[s[0] for s in SYSTEMS])
 def test_matches_fraction_reference(name, rows, ncols):
-    assert len(linalg.echelon(rows)) == rank(rows)
-    assert bits(dense(linalg.nullspace(rows, ncols), ncols)) == bits(nullspace(rows, ncols))
+    ints = integer_rows(rows)
+    assert len(linalg.echelon(ints)) == rank(rows)
+    assert bits(dense(linalg.nullspace(ints, ncols), ncols)) == bits(nullspace(rows, ncols))
 
 
 def test_hom_system_matches_fraction_reference(hom_system):
     rows, ncols = hom_system
+    ints = integer_rows(rows)
     assert len(rows) > 100 and ncols > 100
-    assert len(linalg.echelon(rows)) == rank(rows)
-    assert bits(dense(linalg.nullspace(rows, ncols), ncols)) == bits(nullspace(rows, ncols))
+    assert len(linalg.echelon(ints)) == rank(rows)
+    assert bits(dense(linalg.nullspace(ints, ncols), ncols)) == bits(nullspace(rows, ncols))
+
+
+def test_hom_rows_are_nonzero_integer_rows():
+    p = dense_hom_class()
+    m, degree = p.params.m, default_degree_bound(p.params)
+    n = m * (degree + 1)
+    rows = _hom_rows(p.transition(), p.transition().inverse(), degree)
+    assert len(rows) > 100
+    assert all(type(v) is int and v for row in rows for v in row.values())
+    assert all(0 <= u < 4 * (n + m) for row in rows for u in row)
+    # The degree system is the column prefix u < 4n, in increasing order.
+    prefixes = [[u for u in row if u < 4 * n] for row in rows]
+    assert all(prefix == sorted(prefix) for prefix in prefixes)
 
 
 def sympy_rref_nullspace(rows, ncols):
@@ -268,15 +316,17 @@ def sympy_rref_nullspace(rows, ncols):
 @pytest.mark.parametrize("name,rows,ncols", SYSTEMS, ids=[s[0] for s in SYSTEMS])
 def test_matches_sympy_rref(name, rows, ncols):
     r, basis = sympy_rref_nullspace(rows, ncols)
-    assert len(linalg.echelon(rows)) == r
-    assert dense(linalg.nullspace(rows, ncols), ncols) == basis
+    ints = integer_rows(rows)
+    assert len(linalg.echelon(ints)) == r
+    assert dense(linalg.nullspace(ints, ncols), ncols) == basis
 
 
 def test_hom_system_matches_sympy_rref(hom_system):
     rows, ncols = hom_system
     r, basis = sympy_rref_nullspace(rows, ncols)
-    assert len(linalg.echelon(rows)) == r
-    assert dense(linalg.nullspace(rows, ncols), ncols) == basis
+    ints = integer_rows(rows)
+    assert len(linalg.echelon(ints)) == r
+    assert dense(linalg.nullspace(ints, ncols), ncols) == basis
 
 
 # -- the reduced echelon form and the nullspace read from it -------------------
@@ -298,21 +348,23 @@ def read_nullspace(pivots, ncols):
 
 @pytest.mark.parametrize("name,rows,ncols", SYSTEMS, ids=[s[0] for s in SYSTEMS])
 def test_reduced_echelon_rows_hold_pivot_and_free_columns(name, rows, ncols):
-    pivots = linalg._reduced_echelon(linalg.echelon(rows))
-    assert sorted(pivots) == sorted(linalg.echelon(rows))
+    ints = integer_rows(rows)
+    pivots = linalg._reduced_echelon(linalg.echelon(ints))
+    assert sorted(pivots) == sorted(linalg.echelon(ints))
     for c, row in pivots.items():
         assert min(row) == c and row[c] != 0
         assert all(cc == c or cc not in pivots for cc in row)
         assert all(type(v) is int and v for v in row.values())
         assert gcd(*row.values()) == 1
-    assert bits(dense(linalg.nullspace(rows, ncols), ncols)) == bits(read_nullspace(pivots, ncols))
+    assert bits(dense(linalg.nullspace(ints, ncols), ncols)) == bits(read_nullspace(pivots, ncols))
 
 
 def test_hom_system_reduced_echelon(hom_system):
     rows, ncols = hom_system
-    pivots = linalg._reduced_echelon(linalg.echelon(rows))
+    ints = integer_rows(rows)
+    pivots = linalg._reduced_echelon(linalg.echelon(ints))
     assert all(cc == c or cc not in pivots for c, row in pivots.items() for cc in row)
-    assert bits(dense(linalg.nullspace(rows, ncols), ncols)) == bits(read_nullspace(pivots, ncols))
+    assert bits(dense(linalg.nullspace(ints, ncols), ncols)) == bits(read_nullspace(pivots, ncols))
 
 
 # -- independence of the input row order ---------------------------------------
@@ -329,6 +381,7 @@ def orderings(rows):
 
 
 def assert_order_independent(rows):
+    rows = integer_rows(rows)
     pivots = linalg._reduced_echelon(linalg.echelon(rows))
     assert all(row[c] > 0 for c, row in pivots.items())
     keys = sorted(linalg.echelon(rows))
