@@ -332,38 +332,34 @@ def default_degree_bound(params: ModuliParams) -> int:
     return params.k * (params.m - 1) + 2 * params.j + 1
 
 
-def _hom_rows(t_target: Mat2, t_source_inv: Mat2, degree: int) -> list[dict[int, int]]:
-    """The integer chart-regularity system for intertwining pairs with A
-    in z-degrees 0..degree+1, one row per monomial of B that must vanish.
+def _hom_rows(t_target: Mat2, t_source_inv: Mat2, columns: list) -> list[dict[int, int]]:
+    """The integer chart-regularity system for intertwining pairs, one row
+    per monomial of B that must vanish.
 
-    The unknown z^l u^i of entry e of A contributes z^l u^i times the
+    Unknown u is the coefficient of the monomial z^l u^i of entry e of A,
+    where columns[u] = (e, (l, i)).  It contributes z^l u^i times the
     image T(p') E_e T(p)^-1 of the unit matrix E_e to B = T(p') A T(p)^-1,
     and each monomial of B with l > k*i must vanish.  Rows are scaled by
-    the lcm of the images' denominators.  The unknowns with l <= degree
-    are the column prefix u = e*n + i*(degree+1) + l < 4n, n = m*(degree+1),
-    in increasing order in each row; those with l = degree+1 follow, at
-    4n + e*m + i.
+    the lcm of the images' denominators; each row holds its columns in
+    increasing order.
     """
     ring = t_target.a11.params
     k, m = ring.k, ring.m
-    n = m * (degree + 1)
     zero, one = RingElem.zero(ring), RingElem.one(ring)
     units = (Mat2(one, zero, zero, zero), Mat2(zero, one, zero, zero),
              Mat2(zero, zero, one, zero), Mat2(zero, zero, zero, one))
     images = [(t_target * unit * t_source_inv).entries() for unit in units]
     den = lcm(*(elem.den for image in images for elem in image))
+    scaled = [[(b, elem.nums.items(), den // elem.den) for b, elem in enumerate(image) if elem]
+              for image in images]
     rows: dict[tuple[int, int, int], dict[int, int]] = {}
-    for e, image in enumerate(images):
-        scaled = [(b, elem.nums.items(), den // elem.den) for b, elem in enumerate(image) if elem]
-        for i in range(m):
-            for l in range(degree + 2):
-                u = e * n + i * (degree + 1) + l if l <= degree else 4 * n + e * m + i
-                for b, nums, scale in scaled:
-                    # The terms of z^l u^i times the image entry, truncated at u^m.
-                    for (ll, ii), num in nums:
-                        ll, ii = ll + l, ii + i
-                        if ii < m and ll > k * ii:
-                            rows.setdefault((b, ll, ii), {})[u] = scale * num
+    for u, (e, (l, i)) in enumerate(columns):
+        for b, nums, scale in scaled[e]:
+            # The terms of z^l u^i times the image entry, truncated at u^m.
+            for (ll, ii), num in nums:
+                ll, ii = ll + l, ii + i
+                if ii < m and ll > k * ii:
+                    rows.setdefault((b, ll, ii), {})[u] = scale * num
     return list(rows.values())
 
 
@@ -391,20 +387,22 @@ def brute_force_hom(p: ExtClass, p_target: ExtClass,
     t_target = p_target.transition()
     t_source_inv = p.transition().inverse()
     ring = params.ring
-    monos = [(l, i) for i in range(ring.m) for l in range(degree + 1)]
-    n = len(monos)
-    rows_next = _hom_rows(t_target, t_source_inv, degree)
-    rows = [r for r in ({u: x for u, x in row.items() if u < 4 * n} for row in rows_next) if r]
-    basis = linalg.nullspace(rows, 4 * n)
-    if len(basis) != len(linalg.nullspace(rows_next, 4 * (n + ring.m))):
+    # The unknowns (entry, monomial) with l <= degree, then those with l = degree + 1.
+    columns = [(e, (l, i)) for e in range(4) for i in range(ring.m) for l in range(degree + 1)]
+    n = len(columns)
+    columns += [(e, (degree + 1, i)) for e in range(4) for i in range(ring.m)]
+    rows_next = _hom_rows(t_target, t_source_inv, columns)
+    rows = [r for r in ({u: x for u, x in row.items() if u < n} for row in rows_next) if r]
+    basis = linalg.nullspace(rows, n)
+    if len(basis) != len(linalg.nullspace(rows_next, len(columns))):
         raise ValueError("degree bound too small")
 
     pairs = []
     for vec in basis:
         entries: list[dict] = [{}, {}, {}, {}]
         for u, x in vec.items():
-            e, idx = divmod(u, n)
-            entries[e][monos[idx]] = x
+            e, mono = columns[u]
+            entries[e][mono] = x
         a_mat = Mat2(*(RingElem._raw(ring, terms) for terms in entries))
         pairs.append(CocyclePair(a_mat, t_target * a_mat * t_source_inv))
     return len(basis), pairs

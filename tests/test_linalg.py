@@ -282,14 +282,19 @@ def test_hom_system_matches_fraction_reference(hom_system):
 def test_hom_rows_are_nonzero_integer_rows():
     p = dense_hom_class()
     m, degree = p.params.m, default_degree_bound(p.params)
-    n = m * (degree + 1)
-    rows = _hom_rows(p.transition(), p.transition().inverse(), degree)
+    columns = [(e, (l, i)) for e in range(4) for i in range(m) for l in range(degree + 1)]
+    n = len(columns)
+    columns += [(e, (degree + 1, i)) for e in range(4) for i in range(m)]
+    t_target, t_source_inv = p.transition(), p.transition().inverse()
+    rows = _hom_rows(t_target, t_source_inv, columns)
     assert len(rows) > 100
     assert all(type(v) is int and v for row in rows for v in row.values())
-    assert all(0 <= u < 4 * (n + m) for row in rows for u in row)
-    # The degree system is the column prefix u < 4n, in increasing order.
-    prefixes = [[u for u in row if u < 4 * n] for row in rows]
-    assert all(prefix == sorted(prefix) for prefix in prefixes)
+    assert all(list(row) == sorted(row) and 0 <= min(row) and max(row) < len(columns)
+               for row in rows)
+    # The system built on a column prefix is the full system cut to that prefix.
+    cut = [r for r in ({u: x for u, x in row.items() if u < n} for row in rows) if r]
+    alone = _hom_rows(t_target, t_source_inv, columns[:n])
+    assert sorted(map(sorted, map(dict.items, cut))) == sorted(map(sorted, map(dict.items, alone)))
 
 
 def sympy_rref_nullspace(rows, ncols):
