@@ -16,8 +16,7 @@ from .extensions import ExtClass, ModuliParams, basis_W, reduce_cocycle, restric
 from .groupoid import (GroupElem, act, induced_inverse, induced_product,
                        verify_groupoid)
 from .homspaces import brute_force_hom, default_degree_bound, hom_ext_dims, isom_decide
-from .ring import (ConsistencyError, RingParams, _as_fraction, _fields, elem_from_dict,
-                   elem_to_dict)
+from .ring import ConsistencyError, RingParams, _fields, elem_from_dict, elem_to_dict
 from .sections import cone_check, h0_basis, h0_dim, h1_dim
 
 # The largest basis or count a command may ask for: the truncation order
@@ -84,7 +83,7 @@ def _load_payload(args, *names) -> tuple:
 def _ext_class(data, params: ModuliParams) -> ExtClass:
     """Accept either the full envelope or a coefficient vector in basis order."""
     if isinstance(data, list):
-        return ExtClass.from_vector(params, [_as_fraction(v) for v in data])
+        return ExtClass.from_vector(params, data)
     cls = ExtClass.from_dict(data)
     if cls.params != params:
         raise ValueError("payload parameters disagree with the flags")

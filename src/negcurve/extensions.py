@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import (RingElem, RingParams, _fields, elem_from_dict, elem_to_dict, invert_unit,
-                   sector_split, truncate)
+from .ring import (RingElem, RingParams, _fields, elem_from_dict, elem_to_dict, sector_split,
+                   truncate)
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,9 @@ class ExtClass:
 
     def __delattr__(self, name):
         raise AttributeError("ExtClass is immutable")
+
+    def __reduce__(self):
+        return ExtClass, (self.params, self.p)
 
     @classmethod
     def zero(cls, params: ModuliParams) -> "ExtClass":
@@ -172,13 +175,3 @@ class Mat2:
 
     def det(self) -> RingElem:
         return self.a11 * self.a22 - self.a12 * self.a21
-
-    def inverse(self) -> "Mat2":
-        """Adjugate inverse; the determinant must be an ell-constant unit."""
-        inv_det = invert_unit(self.det())
-        return Mat2(
-            self.a22 * inv_det,
-            (-self.a12) * inv_det,
-            (-self.a21) * inv_det,
-            self.a11 * inv_det,
-        )

@@ -23,7 +23,8 @@ from fractions import Fraction
 from functools import partial
 
 from .extensions import ExtClass, Mat2, ModuliParams, basis_W, restrict_level
-from .ring import ConsistencyError, RingElem, _fields, plus_part, sector_split, truncate
+from .ring import (ConsistencyError, RingElem, _fields, invert_unit, plus_part, sector_split,
+                   truncate)
 from .sections import TwistedSection, h0_basis
 
 
@@ -59,6 +60,9 @@ class GroupElem:
 
     def __delattr__(self, name):
         raise AttributeError("GroupElem is immutable")
+
+    def __reduce__(self):
+        return GroupElem, (self.params, self.a, self.b, self.c, self.d)
 
     @classmethod
     def from_reps(cls, params: ModuliParams, a: RingElem, b: RingElem, c: RingElem,
@@ -249,14 +253,18 @@ def induced_inverse(g: GroupElem, p: ExtClass, check: bool = True) -> GroupElem:
     """The base-point inverse of g at p: invert the pair and extract.
 
     Extraction reads only A^-1 and the entry B22 / det B of B^-1, and
-    det B = det A since the transition matrices have determinant 1.
+    det B = det A since the transition matrices have determinant 1.  So
+    det A is inverted once, and that inverse scales both the adjugate
+    of A and B22.
     """
     if g.params != p.params:
         raise ValueError("mismatched moduli parameters")
     q = act(g, p)
     pair = _build_pair(g.matrix(), p, q, check)
-    a_inv = pair.A.inverse()
-    return extract_group_elem(a_inv, pair.B.a22 * a_inv.det(), q, p)
+    A = pair.A
+    inv_det = invert_unit(A.det())
+    a_inv = Mat2(A.a22 * inv_det, (-A.a12) * inv_det, (-A.a21) * inv_det, A.a11 * inv_det)
+    return extract_group_elem(a_inv, pair.B.a22 * inv_det, q, p)
 
 
 # -- seeded sampling ---------------------------------------------------------
@@ -307,10 +315,6 @@ def sample_group_elem(params: ModuliParams, rng: random.Random,
 
 
 # -- randomized exact verification -------------------------------------------
-
-_FAMILIES = ("identity_action", "compatibility", "associativity", "identity_laws",
-             "inverse_laws", "intertwining", "roundtrip", "truncation")
-
 
 def _check_sample(params: ModuliParams, rng: random.Random,
                   with_truncation: bool) -> dict[str, bool]:
@@ -396,26 +400,17 @@ def verify_groupoid(params: ModuliParams, samples: int, seed: int,
     else:
         per_sample = map(run, range(samples))
 
-    counts = {name: 0 for name in _FAMILIES}
-    passed = {name: 0 for name in _FAMILIES}
-    first_failure: dict[str, int] = {}
+    # Samples fold in index order, so a family's first failure is its lowest failing index.
+    families: dict[str, dict] = {}
     for idx, results in enumerate(per_sample):
         for name, ok in results.items():
-            counts[name] += 1
+            fam = families.setdefault(name, {"checked": 0, "passed": 0,
+                                             "first_failure_sample": None})
+            fam["checked"] += 1
             if ok:
-                passed[name] += 1
-            else:
-                first_failure.setdefault(name, idx)
-
-    families = {}
-    for name in _FAMILIES:
-        if counts[name] == 0:
-            continue
-        families[name] = {
-            "checked": counts[name],
-            "passed": passed[name],
-            "first_failure_sample": first_failure.get(name),
-        }
+                fam["passed"] += 1
+            elif fam["first_failure_sample"] is None:
+                fam["first_failure_sample"] = idx
     return {
         "k": params.k,
         "j": params.j,

@@ -384,8 +384,9 @@ def brute_force_hom(p: ExtClass, p_target: ExtClass,
         degree = default_degree_bound(params)
     if degree < 1:
         raise ValueError("degree bound must be at least 1")
-    t_target = p_target.transition()
-    t_source_inv = p.transition().inverse()
+    t_target, t_source = p_target.transition(), p.transition()
+    # det T(p) = 1, so T(p)^-1 is the adjugate of T(p).
+    t_source_inv = Mat2(t_source.a22, -t_source.a12, -t_source.a21, t_source.a11)
     ring = params.ring
     # The unknowns (entry, monomial) with l <= degree, then those with l = degree + 1.
     columns = [(e, (l, i)) for e in range(4) for i in range(ring.m) for l in range(degree + 1)]

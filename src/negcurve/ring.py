@@ -18,7 +18,8 @@ operation works on that form in integers.  The common factor is divided
 out by one multi-argument gcd, and only where one can appear: after a
 product, after a sum whose denominators share a factor, and after a
 projection or shift that drops terms.  Fractions are built only when a
-caller reads ``terms``, ``coeff`` or ``canonical_terms``.
+caller reads ``terms``, ``coeff`` or ``canonical_terms``, and are built
+anew on each read: the integer form is the only copy kept.
 """
 
 from __future__ import annotations
@@ -85,12 +86,12 @@ class RingElem:
     params, den and nums are, and den is the lcm of the denominators.
 
     ``terms`` is the map (l, i) -> Fraction, a read-only view built
-    from that form the first time it is read and kept.  Instances are
-    immutable: attributes cannot be set or deleted, and no method
+    from that form each time it is read; it is not stored.  Instances
+    are immutable: attributes cannot be set or deleted, and no method
     mutates ``nums`` after construction.
     """
 
-    __slots__ = ("params", "den", "nums", "_view")
+    __slots__ = ("params", "den", "nums")
 
     def __init__(self, params: RingParams, terms: Mapping[tuple[int, int], object]):
         clean: dict[tuple[int, int], Fraction] = {}
@@ -119,17 +120,14 @@ class RingElem:
     def __delattr__(self, name):
         raise AttributeError("RingElem is immutable")
 
+    def __reduce__(self):
+        return _form, (self.params, self.den, self.nums)
+
     @property
     def terms(self) -> Mapping[tuple[int, int], Fraction]:
-        """The coefficients as a read-only map (l, i) -> Fraction."""
-        try:
-            return self._view
-        except AttributeError:
-            pass
+        """The coefficients as a read-only map (l, i) -> Fraction, built on each read."""
         den = self.den
-        view = MappingProxyType({key: Fraction(n, den) for key, n in self.nums.items()})
-        _set_view(self, view)
-        return view
+        return MappingProxyType({key: Fraction(n, den) for key, n in self.nums.items()})
 
     # -- constructors ------------------------------------------------------
 
@@ -292,7 +290,6 @@ _new = object.__new__
 _set_params = RingElem.params.__set__
 _set_den = RingElem.den.__set__
 _set_nums = RingElem.nums.__set__
-_set_view = RingElem._view.__set__
 
 
 def _form(params: RingParams, den: int, nums: dict) -> RingElem:

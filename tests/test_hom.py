@@ -604,7 +604,8 @@ def reference_hom_space(p, p_target, degree):
 def reference_pairs(p, q, degree):
     basis, monos = reference_hom_space(p, q, degree)
     ring = p.params.ring
-    t_target, t_source_inv = q.transition(), p.transition().inverse()
+    t_target, t_source = q.transition(), p.transition()
+    t_source_inv = Mat2(t_source.a22, -t_source.a12, -t_source.a21, t_source.a11)
     pairs = []
     for vec in basis:
         entries = [RingElem(ring, {mono: vec[e * len(monos) + idx]

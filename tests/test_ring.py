@@ -1,6 +1,9 @@
 """Exact arithmetic, unit inversion, sector splits and truncation."""
 
+import copy
+import pickle
 import random
+from dataclasses import asdict
 from fractions import Fraction
 from math import gcd
 
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negcurve.extensions import ModuliParams, basis_W
-from negcurve.groupoid import act, sample_ext_class, sample_group_elem
+from negcurve.groupoid import act, cocycle_matrices, sample_ext_class, sample_group_elem
 from negcurve.ring import (RingElem, RingParams, _as_fraction, elem_from_dict, elem_to_dict,
                            invert_unit, plus_part, sector_split, truncate)
 
@@ -425,6 +428,18 @@ def test_ext_classes_and_group_elements_are_immutable():
                 delattr(obj, name)
         assert repr(obj) == before
     assert act(g, p) == q
+
+
+def test_value_classes_copy_and_pickle():
+    params = ModuliParams(RingParams(1, 3), 2)
+    rng = random.Random(3)
+    p = sample_ext_class(params, rng)
+    g = sample_group_elem(params, rng)
+    pair = cocycle_matrices(g, p)
+    for obj in (pair.A.a11, p, g, g.c, pair.A, pair):
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(twin) is type(obj) and twin == obj
+    assert asdict(pair) == {"A": pair.A, "B": pair.B}
 
 
 @settings(max_examples=150, deadline=None)
