@@ -5,14 +5,18 @@ by an upper-triangular transition matrix (z^j, p; 0, z^-j).  The class
 p has a unique normal form supported on the band of monomials z^l u^i
 with k*i - j + 1 <= l <= j - 1 and i >= 1; the band is finite and stops
 growing once k*i exceeds 2j - 2.
+
+``ExtClass`` and ``Mat2`` are immutable values on ``ring._Frozen``:
+fields are never reassigned, equality compares the fields, and copies
+and pickles go back through the constructor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import (RingElem, RingParams, _fields, elem_from_dict, elem_to_dict, sector_split,
-                   truncate)
+from .ring import (RingElem, RingParams, _fields, _Frozen, elem_from_dict, elem_to_dict,
+                   sector_split, truncate)
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,7 @@ def class_is_zero(y: RingElem, params: ModuliParams) -> bool:
     return not any(params.in_band(l, i) for (l, i) in y.nums)
 
 
-class ExtClass:
+class ExtClass(_Frozen):
     """An extension class in normal form: support inside the band, i >= 1."""
 
     __slots__ = ("params", "p")
@@ -74,17 +78,7 @@ class ExtClass:
         for (l, i) in p.nums:
             if i == 0 or not params.in_band(l, i):
                 raise ValueError(f"term z^{l} u^{i} is outside the normal-form band")
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtClass is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("ExtClass is immutable")
-
-    def __reduce__(self):
-        return ExtClass, (self.params, self.p)
+        super().__init__(params, p)
 
     @classmethod
     def zero(cls, params: ModuliParams) -> "ExtClass":
@@ -97,9 +91,6 @@ class ExtClass:
         if len(coeffs) != len(basis):
             raise ValueError(f"expected {len(basis)} coefficients, got {len(coeffs)}")
         return cls(params, RingElem(params.ring, {(l, i): c for (i, l), c in zip(basis, coeffs)}))
-
-    def __eq__(self, other):
-        return isinstance(other, ExtClass) and self.params == other.params and self.p == other.p
 
     def __repr__(self):
         return f"ExtClass(j={self.params.j}, p={self.p!r})"
@@ -145,13 +136,10 @@ def restrict_level(p: ExtClass, m_new: int) -> ExtClass:
 # -- 2x2 matrices over the overlap ring --------------------------------------
 
 
-class Mat2:
-    """A 2x2 matrix of overlap-ring elements."""
+class Mat2(_Frozen):
+    """A 2x2 matrix (a11, a12; a21, a22) of overlap-ring elements."""
 
     __slots__ = ("a11", "a12", "a21", "a22")
-
-    def __init__(self, a11: RingElem, a12: RingElem, a21: RingElem, a22: RingElem):
-        self.a11, self.a12, self.a21, self.a22 = a11, a12, a21, a22
 
     def __mul__(self, other: "Mat2") -> "Mat2":
         return Mat2(
@@ -159,15 +147,6 @@ class Mat2:
             self.a11 * other.a12 + self.a12 * other.a22,
             self.a21 * other.a11 + self.a22 * other.a21,
             self.a21 * other.a12 + self.a22 * other.a22,
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Mat2)
-            and self.a11 == other.a11
-            and self.a12 == other.a12
-            and self.a21 == other.a21
-            and self.a22 == other.a22
         )
 
     def entries(self) -> tuple[RingElem, RingElem, RingElem, RingElem]:

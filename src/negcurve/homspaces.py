@@ -395,6 +395,9 @@ def brute_force_hom(p: ExtClass, p_target: ExtClass,
     rows_next = _hom_rows(t_target, t_source_inv, columns)
     rows = [r for r in ({u: x for u, x in row.items() if u < n} for row in rows_next) if r]
     basis = linalg.nullspace(rows, n)
+    # Only the size of this basis is read; a rank would do, but
+    # `perfbench/run.py --self-test` pins 2 `nullspace` calls per brute
+    # force, so the change waits for the benchmark revision (ROADMAP item 1).
     if len(basis) != len(linalg.nullspace(rows_next, len(columns))):
         raise ValueError("degree bound too small")
 

@@ -9,7 +9,12 @@ neighborhood of the zero section are finitely supported sums
 with exact rational coefficients.  A monomial z^l u^i is regular on the
 first chart iff l >= 0 and on the second chart iff l <= k*i (because
 z^l u^i = xi^(k*i - l) v^i).  Everything in this module is immutable and
-pure; all arithmetic is exact over the rationals.
+pure; all arithmetic is exact over the rationals.  The slotted value
+classes of the package (``RingElem`` here, ``ExtClass``, ``Mat2`` and
+``GroupElem`` downstream) share one base, ``_Frozen``: their fields are
+set once and never reassigned or deleted, two values are equal when
+their types and fields are, and copies and pickles go back through the
+constructor (for ``RingElem``, through its integer form).
 
 Coefficients are stored in one integer form: a common denominator
 den, the lcm of the coefficient denominators, and the integer numerators
@@ -28,8 +33,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 
 class ConsistencyError(RuntimeError):
@@ -74,7 +80,43 @@ def _as_fraction(c) -> Fraction:
     raise ValueError(f"coefficient must be an exact rational, got {type(c).__name__}")
 
 
-class RingElem:
+class _Frozen:
+    """Base of the slotted value classes: fields set once, compared field by field.
+
+    ``__init__`` sets each slot once, in ``__slots__`` order; setting or
+    deleting an attribute afterwards raises.  Two values are equal when
+    their types and all their fields are.  Copies and pickles call the
+    constructor on the fields, so they are validated again.  Subclasses
+    declare two or more slots, so that ``_values`` returns a tuple.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values(self) == other._values(other)
+
+    def __repr__(self):
+        fields = zip(self.__slots__, self._values(self))
+        return f"{type(self).__name__}({', '.join(f'{name}={value!r}' for name, value in fields)})"
+
+
+class RingElem(_Frozen):
     """A finitely supported exact-rational combination of monomials z^l u^i.
 
     Stored as a common denominator ``den`` >= 1 and a map ``nums`` from
@@ -87,8 +129,8 @@ class RingElem:
 
     ``terms`` is the map (l, i) -> Fraction, a read-only view built
     from that form each time it is read; it is not stored.  Instances
-    are immutable: attributes cannot be set or deleted, and no method
-    mutates ``nums`` after construction.
+    are immutable (``_Frozen``), and no method mutates ``nums`` after
+    construction.  Copies and pickles rebuild the integer form directly.
     """
 
     __slots__ = ("params", "den", "nums")
@@ -104,21 +146,12 @@ class RingElem:
             c = _as_fraction(c)
             if c != 0:
                 clean[(l, i)] = c
-        den, nums = _integer_form(clean)
-        _set_params(self, params)
-        _set_den(self, den)
-        _set_nums(self, nums)
+        super().__init__(params, *_integer_form(clean))
 
     @classmethod
     def _raw(cls, params: RingParams, terms: Mapping) -> "RingElem":
         # Trusted fast path: terms already clean (nonzero Fractions or ints, valid i).
         return _form(params, *_integer_form(terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RingElem is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("RingElem is immutable")
 
     def __reduce__(self):
         return _form, (self.params, self.den, self.nums)
@@ -159,14 +192,6 @@ class RingElem:
     def canonical_terms(self) -> list[tuple[int, int, Fraction]]:
         """Terms as (l, i, coeff) sorted by (i, l); the serialization order."""
         return [(l, i, c) for (l, i), c in sorted(self.terms.items(), key=lambda t: (t[0][1], t[0][0]))]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RingElem)
-            and (self.params is other.params or self.params == other.params)
-            and self.den == other.den
-            and self.nums == other.nums
-        )
 
     def __bool__(self):
         return bool(self.nums)

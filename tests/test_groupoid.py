@@ -10,7 +10,7 @@ from negcurve.extensions import ExtClass, Mat2, ModuliParams, basis_W, restrict_
 from negcurve.groupoid import (GroupElem, act, cocycle_matrices, extract_group_elem,
                                induced_inverse, induced_product, sample_ext_class,
                                sample_group_elem, substream, verify_groupoid)
-from negcurve.ring import RingElem, RingParams, invert_unit, sector_split, truncate
+from negcurve.ring import RingElem, RingParams, invert_unit, sector_split
 
 
 def params_of(k, j, m):

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negcurve.extensions import ModuliParams, basis_W
-from negcurve.groupoid import act, cocycle_matrices, sample_ext_class, sample_group_elem
+from negcurve.extensions import ExtClass, Mat2, ModuliParams, basis_W
+from negcurve.groupoid import (GroupElem, act, cocycle_matrices, sample_ext_class,
+                               sample_group_elem)
 from negcurve.ring import (RingElem, RingParams, _as_fraction, elem_from_dict, elem_to_dict,
                            invert_unit, plus_part, sector_split, truncate)
 
@@ -419,7 +420,9 @@ def test_ext_classes_and_group_elements_are_immutable():
     p = sample_ext_class(params, rng)
     g = sample_group_elem(params, rng)
     q = act(g, p)
-    for obj, fields in ((p, ("params", "p")), (g, ("params", "a", "b", "c", "d"))):
+    mat = cocycle_matrices(g, p).A
+    for obj, fields in ((p, ("params", "p")), (g, ("params", "a", "b", "c", "d")),
+                        (mat, ("a11", "a12", "a21", "a22"))):
         before = repr(obj)
         for name in fields:
             with pytest.raises(AttributeError, match="immutable"):
@@ -440,6 +443,52 @@ def test_value_classes_copy_and_pickle():
         for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
             assert type(twin) is type(obj) and twin == obj
     assert asdict(pair) == {"A": pair.A, "B": pair.B}
+
+
+def unlike_values():
+    """For each slotted value class, two instances that differ in every field."""
+    rng = random.Random(5)
+    small, large = ModuliParams(RingParams(1, 3), 2), ModuliParams(RingParams(2, 4), 3)
+    p, q = sample_ext_class(small, rng), sample_ext_class(large, rng)
+    g, h = sample_group_elem(small, rng), sample_group_elem(large, rng)
+    return {
+        RingElem: (RingElem(small.ring, {(0, 1): Fraction(1, 2)}),
+                   RingElem(large.ring, {(1, 2): Fraction(2, 3)})),
+        ExtClass: (p, q),
+        GroupElem: (g, h),
+        Mat2: (cocycle_matrices(g, p).A, cocycle_matrices(h, q).A),
+    }
+
+
+@pytest.mark.parametrize("cls", [RingElem, ExtClass, GroupElem, Mat2], ids=lambda c: c.__name__)
+def test_value_classes_compare_field_by_field(cls):
+    x, y = unlike_values()[cls]
+    twin = copy.copy(x)
+    assert twin is not x and twin == x and not twin != x
+    names = cls.__slots__
+    for n, name in enumerate(names):
+        assert getattr(x, name) != getattr(y, name)
+        fields = [getattr(x, f) for f in names]
+        fields[n] = getattr(y, name)
+        # Built past the constructor: a lone field of y may not validate with x's others.
+        variant = object.__new__(cls)
+        for slot, value in zip(names, fields):
+            object.__setattr__(variant, slot, value)
+        assert variant != x and x != variant
+    if cls is ExtClass:
+        assert x != x.p and x.p != x
+    if cls is Mat2:
+        assert x != x.entries() and x.entries() != x
+
+
+def test_mat2_repr_shows_its_entries():
+    params = ModuliParams(RingParams(1, 3), 2)
+    rng = random.Random(3)
+    pair = cocycle_matrices(sample_group_elem(params, rng), sample_ext_class(params, rng))
+    for mat in (pair.A, pair.B):
+        assert repr(mat).startswith("Mat2(a11=")
+        assert all(repr(e) in repr(mat) for e in mat.entries())
+        assert repr(mat) in repr(pair)
 
 
 @settings(max_examples=150, deadline=None)
