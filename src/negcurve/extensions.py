@@ -73,10 +73,11 @@ class ExtClass(_Frozen):
     __slots__ = ("params", "p")
 
     def __init__(self, params: ModuliParams, p: RingElem):
-        if p.params != params.ring:
+        if p.params is not params.ring and p.params != params.ring:
             raise ValueError("mismatched ring parameters")
+        k, j = params.ring.k, params.j
         for (l, i) in p.nums:
-            if i == 0 or not params.in_band(l, i):
+            if i == 0 or not k * i - j < l < j:
                 raise ValueError(f"term z^{l} u^{i} is outside the normal-form band")
         super().__init__(params, p)
 

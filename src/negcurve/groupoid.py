@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import partial
 
 from .extensions import ExtClass, Mat2, ModuliParams, basis_W, restrict_level
-from .ring import (ConsistencyError, RingElem, _fields, _Frozen, invert_unit, plus_part,
+from .ring import (ConsistencyError, RingElem, _fields, _Frozen, _part, invert_unit,
                    sector_split, truncate)
 from .sections import TwistedSection, h0_basis
 
@@ -45,7 +45,7 @@ class GroupElem(_Frozen):
         for sec, twist, name in ((a, 0, "a"), (b, -2 * j, "b"), (c, 2 * j, "c"), (d, 0, "d")):
             if sec.s != twist:
                 raise ValueError(f"section {name} must have twist {twist}, got {sec.s}")
-            if sec.rep.params != params.ring:
+            if sec.rep.params is not params.ring and sec.rep.params != params.ring:
                 raise ValueError("mismatched ring parameters")
         if (0, 0) not in a.rep.nums or (0, 0) not in d.rep.nums:
             raise ValueError("not invertible")
@@ -109,10 +109,16 @@ def cech_parts(c: RingElem, x: RingElem, j: int) -> tuple[RingElem, RingElem]:
 
     plus keeps the monomials with l > k*i, which are not regular on the
     second chart, and v the rest, so z^-j * c * x = plus + v.  Every Cech
-    correction of the gluing matrices is one of these two parts.
+    correction of the gluing matrices is one of these two parts.  The
+    product c * x is walked once: each term is shifted by z^-j and sent
+    to its part.
     """
-    y = (c * x).shift(-j)
-    return plus_part(y), y.v_regular_part()
+    y = c * x
+    k, nums = y.params.k, y.nums
+    parts: tuple[dict, dict] = ({}, {})  # (plus, v), indexed by "is v-regular"
+    for (l, i), n in nums.items():
+        parts[l - j <= k * i][(l - j, i)] = n
+    return _part(y.params, y.den, nums, parts[0]), _part(y.params, y.den, nums, parts[1])
 
 
 def act(g: GroupElem, p: ExtClass) -> ExtClass:
@@ -123,58 +129,80 @@ def act(g: GroupElem, p: ExtClass) -> ExtClass:
     Since the band equations are triangular in the u-order with constant
     diagonal d(0,0), p' is found by forward substitution layer by layer;
     to leading order it is the familiar quotient (a*p - z^j b)/(d - z^-j p c).
+    The residual r = B11 p - p' A22 is updated after every band layer
+    but the last: that update would change only u-orders that are never
+    read again.  So A22 = d + (z^-j c p)_+ is formed only when an update
+    is due, and the final r is left to ``_pair_core``.
     """
-    if g.params != p.params:
-        raise ValueError("mismatched moduli parameters")
     params = g.params
-    j = params.j
+    if params is not p.params and params != p.params:
+        raise ValueError("mismatched moduli parameters")
+    j, k = params.j, params.k
     ring = params.ring
     i_cap = params.i_cap()
     a_rep, d_rep, c_rep = g.a.rep, g.d.rep, g.c.rep
-    inv_d00 = 1 / d_rep.coeff(0, 0)
-    a22 = d_rep + cech_parts(c_rep, p.p, j)[0]
+    inv_d00 = Fraction(d_rep.den, d_rep.nums[(0, 0)])
+    a22 = None
     residual = a_rep * p.p
     sol = RingElem.zero(ring)
     for i in range(1, i_cap + 1):
-        band = params.band_rows(i)
-        delta = residual.select(lambda l, ii: ii == i and l in band)
+        nums, low = residual.nums, k * i - j
+        delta = _part(ring, residual.den, nums,
+                      {(l, ii): n for (l, ii), n in nums.items() if ii == i and low < l < j})
         if delta.is_zero():
             continue
         delta = delta.scale(inv_d00)
         sol = sol + delta
+        if i == i_cap:
+            break
         # Knock out this layer's band and propagate to higher u-orders.
+        if a22 is None:
+            a22 = d_rep + cech_parts(c_rep, p.p, j)[0]
         _, f_delta = cech_parts(c_rep, delta, j)
         residual = residual - a22 * delta + f_delta * p.p
-    # The final residual is the r = B11 p - p' A22 that _build_pair splits.
     return ExtClass(params, sol)
 
 
-def _build_pair(g: Mat2, p: ExtClass, target: ExtClass, check: bool) -> CocyclePair:
-    """The canonical cocycle pair of g = (a, b; c, d) from p to target = g.p."""
+def _pair_core(g: Mat2, p: ExtClass, target: ExtClass) -> tuple[RingElem, ...]:
+    """A11, A12, A22 and B11 of the canonical pair of g = (a, b; c, d) from
+    p to target = g.p, then the pieces g_V and prec of B22 and B12.
+
+    B21 = z^-2j c, B22 = d - g_V and B12 = z^2j b - z^j prec complete the
+    pair, where g_V is the V part of z^-j c p and prec the prec sector of
+    r = B11 p - p' A22.  Extraction reads none of them.
+    """
     j = p.params.j
     a_rep, b_rep, c_rep, d_rep = g.entries()
-
     f_plus, f_v = cech_parts(c_rep, target.p, j)
     g_plus, g_v = cech_parts(c_rep, p.p, j)
-    a11 = a_rep - f_plus
     b11 = a_rep + f_v
     a22 = d_rep + g_plus
-    b22 = d_rep - g_v
-
-    r = b11 * p.p - target.p * a22
-    succ, good, prec = sector_split(r, j)
+    succ, good, prec = sector_split(b11 * p.p - target.p * a22, j)
     if not good.is_zero():
         raise ConsistencyError("cocycle target does not match the action")
-    a12 = b_rep + succ.shift(-j)
-    b12 = b_rep.shift(2 * j) - prec.shift(j)
+    return a_rep - f_plus, b_rep + succ.shift(-j), a22, b11, g_v, prec
 
-    pair = CocyclePair(Mat2(a11, a12, c_rep, a22), Mat2(b11, b12, c_rep.shift(-2 * j), b22))
+
+def _assemble_pair(g: Mat2, core: tuple, p: ExtClass, target: ExtClass,
+                   check: bool) -> CocyclePair:
+    """The canonical pair of g from its ``_pair_core``; with check on, verified exactly."""
+    j = p.params.j
+    a11, a12, a22, b11, g_v, prec = core
+    _, b_rep, c_rep, d_rep = g.entries()
+    pair = CocyclePair(Mat2(a11, a12, c_rep, a22),
+                       Mat2(b11, b_rep.shift(2 * j) - prec.shift(j), c_rep.shift(-2 * j),
+                            d_rep - g_v))
     if check:
         if not pair.is_chart_regular():
             raise ConsistencyError("cocycle pair is not chart regular")
         if not pair.intertwines(p, target):
             raise ConsistencyError("cocycle pair fails the intertwining identity")
     return pair
+
+
+def _build_pair(g: Mat2, p: ExtClass, target: ExtClass, check: bool) -> CocyclePair:
+    """The canonical cocycle pair of g = (a, b; c, d) from p to target = g.p."""
+    return _assemble_pair(g, _pair_core(g, p, target), p, target, check)
 
 
 def cocycle_matrices(g: GroupElem, p: ExtClass, check: bool = True) -> CocyclePair:
@@ -187,29 +215,31 @@ def cocycle_matrices(g: GroupElem, p: ExtClass, check: bool = True) -> CocyclePa
 
 
 def _global_part(x: RingElem) -> RingElem:
-    k = x.params.k
-    return x.select(lambda l, i: 0 <= l <= k * i)
+    k, nums = x.params.k, x.nums
+    return _part(x.params, x.den, nums,
+                 {(l, i): n for (l, i), n in nums.items() if 0 <= l <= k * i})
 
 
 def extract_group_elem(A: Mat2, b11: RingElem, p: ExtClass, p_target: ExtClass) -> GroupElem:
     """Recover the unique automorphism underlying an intertwining pair (A, B).
 
     Reads only A and the entry B11 of B: a and d are the global parts of
-    A11 and A22 and c is A21; the canonical pair of (a, 0; c, d) from p
-    to p_target is rebuilt, and b is read off as the difference of the
-    A12 entries.  A11, A22 and B11 must match the rebuilt ones exactly.
+    A11 and A22 and c is A21; the core of the canonical pair of
+    (a, 0; c, d) from p to p_target is rebuilt, and b is read off as the
+    difference of the A12 entries.  A11, A22 and B11 must match the
+    rebuilt ones exactly.
     """
     params = p.params
     j = params.j
     a_rep, c_rep, d_rep = _global_part(A.a11), A.a21, _global_part(A.a22)
     try:
         c_sec = TwistedSection(2 * j, c_rep)
-        rebuilt = _build_pair(Mat2(a_rep, RingElem.zero(params.ring), c_rep, d_rep),
-                              p, p_target, check=False)
-        b_sec = TwistedSection(-2 * j, A.a12 - rebuilt.A.a12)
+        a11, a12, a22, rebuilt_b11, _, _ = _pair_core(
+            Mat2(a_rep, RingElem.zero(params.ring), c_rep, d_rep), p, p_target)
+        b_sec = TwistedSection(-2 * j, A.a12 - a12)
     except (ConsistencyError, ValueError) as exc:
         raise ValueError("not a normalized cocycle pair") from exc
-    if (A.a11, A.a22, b11) != (rebuilt.A.a11, rebuilt.A.a22, rebuilt.B.a11):
+    if (A.a11, A.a22, b11) != (a11, a22, rebuilt_b11):
         raise ValueError("not a normalized cocycle pair")
     return GroupElem(params, TwistedSection(0, a_rep), b_sec, c_sec, TwistedSection(0, d_rep))
 
@@ -218,17 +248,25 @@ def induced_product(g1: GroupElem, g2: GroupElem, p: ExtClass,
                     check: bool = True) -> GroupElem:
     """The base-point product g1 *_p g2: compose cocycle pairs and extract.
 
-    Extraction reads only A and B11 of the composed pair, so only those
-    are formed.
+    Extraction reads only A and B11 of the composed pair, so only the
+    cores of the two pairs are built, and A1 A2 and B11 are formed from
+    them: B1_12 B2_21 = (z^2j b1 - z^j prec1) z^-2j c2 = (b1 - z^-j prec1) c2.
+    With check on, both pairs are also assembled and verified.
     """
-    if g1.params != g2.params or g1.params != p.params:
+    if not (g1.params is g2.params is p.params or g1.params == g2.params == p.params):
         raise ValueError("mismatched moduli parameters")
     q = act(g2, p)
-    pair2 = _build_pair(g2.matrix(), p, q, check)
     q2 = act(g1, q)
-    pair1 = _build_pair(g1.matrix(), q, q2, check)
-    B1, B2 = pair1.B, pair2.B
-    return extract_group_elem(pair1.A * pair2.A, B1.a11 * B2.a11 + B1.a12 * B2.a21, p, q2)
+    m1, m2 = g1.matrix(), g2.matrix()
+    core1, core2 = _pair_core(m1, q, q2), _pair_core(m2, p, q)
+    if check:
+        _assemble_pair(m2, core2, p, q, check)
+        _assemble_pair(m1, core1, q, q2, check)
+    # A core is (A11, A12, A22, B11, g_V, prec); A21 = c.
+    a1 = Mat2(core1[0], core1[1], m1.a21, core1[2])
+    a2 = Mat2(core2[0], core2[1], m2.a21, core2[2])
+    b11 = core1[3] * core2[3] + (m1.a12 - core1[5].shift(-p.params.j)) * m2.a21
+    return extract_group_elem(a1 * a2, b11, p, q2)
 
 
 def induced_inverse(g: GroupElem, p: ExtClass, check: bool = True) -> GroupElem:
@@ -239,7 +277,7 @@ def induced_inverse(g: GroupElem, p: ExtClass, check: bool = True) -> GroupElem:
     det A is inverted once, and that inverse scales both the adjugate
     of A and B22.
     """
-    if g.params != p.params:
+    if g.params is not p.params and g.params != p.params:
         raise ValueError("mismatched moduli parameters")
     q = act(g, p)
     pair = _build_pair(g.matrix(), p, q, check)
@@ -266,18 +304,16 @@ def _nonzero_rational(rng: random.Random) -> Fraction:
 
 
 def _sparse_terms(basis, rng: random.Random, max_terms: int) -> dict:
+    # Nonzero Fractions on basis exponents, so the samplers build through
+    # RingElem._raw; ExtClass and GroupElem still check the supports.
     count = min(len(basis), rng.randint(0, max_terms))
-    terms = {}
-    for (l, i) in rng.sample(basis, count):
-        c = _nonzero_rational(rng)
-        terms[(l, i)] = c
-    return terms
+    return {(l, i): _nonzero_rational(rng) for (l, i) in rng.sample(basis, count)}
 
 
 def sample_ext_class(params: ModuliParams, rng: random.Random,
                      max_terms: int = 3) -> ExtClass:
     basis = [(l, i) for (i, l) in basis_W(params)]
-    return ExtClass(params, RingElem(params.ring, _sparse_terms(basis, rng, max_terms)))
+    return ExtClass(params, RingElem._raw(params.ring, _sparse_terms(basis, rng, max_terms)))
 
 
 def sample_group_elem(params: ModuliParams, rng: random.Random,
@@ -292,8 +328,8 @@ def sample_group_elem(params: ModuliParams, rng: random.Random,
     d_terms[(0, 0)] = _nonzero_rational(rng)
     b_terms = _sparse_terms(h0_basis(-2 * j, ring), rng, max_terms)
     c_terms = _sparse_terms(h0_basis(2 * j, ring), rng, max_terms)
-    return GroupElem.from_reps(params, RingElem(ring, a_terms), RingElem(ring, b_terms),
-                               RingElem(ring, c_terms), RingElem(ring, d_terms))
+    return GroupElem.from_reps(params, *(RingElem._raw(ring, terms)
+                                         for terms in (a_terms, b_terms, c_terms, d_terms)))
 
 
 # -- randomized exact verification -------------------------------------------

@@ -83,21 +83,24 @@ def _as_fraction(c) -> Fraction:
 class _Frozen:
     """Base of the slotted value classes: fields set once, compared field by field.
 
-    ``__init__`` sets each slot once, in ``__slots__`` order; setting or
-    deleting an attribute afterwards raises.  Two values are equal when
-    their types and all their fields are.  Copies and pickles call the
-    constructor on the fields, so they are validated again.  Subclasses
-    declare two or more slots, so that ``_values`` returns a tuple.
+    ``__init__`` sets each slot once, in ``__slots__`` order, through the
+    ``__set__`` of its descriptor (``__init_subclass__`` stores them in
+    ``_setters``); setting or deleting an attribute afterwards raises.
+    Two values are equal when their types and all their fields are.
+    Copies and pickles call the constructor on the fields, so they are
+    validated again.  Subclasses declare two or more slots, so that
+    ``_values`` returns a tuple.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._values = attrgetter(*cls.__slots__)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __init__(self, *fields):
-        for name, value in zip(self.__slots__, fields, strict=True):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, fields, strict=True):
+            setter(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -155,6 +158,10 @@ class RingElem(_Frozen):
 
     def __reduce__(self):
         return _form, (self.params, self.den, self.nums)
+
+    def __eq__(self, other):
+        return (type(other) is RingElem and self.den == other.den and self.nums == other.nums
+                and (self.params is other.params or self.params == other.params))
 
     @property
     def terms(self) -> Mapping[tuple[int, int], Fraction]:
@@ -281,7 +288,9 @@ class RingElem(_Frozen):
         return _form(self.params, den * (q // g), nums)
 
     def shift(self, dl: int, di: int = 0) -> "RingElem":
-        """Multiply by the monomial z^dl u^di."""
+        """Multiply by the monomial z^dl u^di, di >= 0."""
+        if di < 0:
+            raise ValueError(f"u-exponent shift {di} is negative")
         nums = self.nums
         if di == 0:
             if dl == 0:
@@ -300,8 +309,9 @@ class RingElem(_Frozen):
                      {(l, i): n for (l, i), n in nums.items() if pred(l, i)})
 
     def v_regular_part(self) -> "RingElem":
-        k = self.params.k
-        return self.select(lambda l, i: l <= k * i)
+        k, nums = self.params.k, self.nums
+        return _part(self.params, self.den, nums,
+                     {(l, i): n for (l, i), n in nums.items() if l <= k * i})
 
     def is_u_regular(self) -> bool:
         return all(l >= 0 for (l, _) in self.nums)
@@ -312,9 +322,7 @@ class RingElem(_Frozen):
 
 
 _new = object.__new__
-_set_params = RingElem.params.__set__
-_set_den = RingElem.den.__set__
-_set_nums = RingElem.nums.__set__
+_set_params, _set_den, _set_nums = RingElem._setters
 
 
 def _form(params: RingParams, den: int, nums: dict) -> RingElem:
@@ -446,8 +454,8 @@ def sector_split(x: RingElem, j: int) -> tuple[RingElem, RingElem, RingElem]:
 
 def plus_part(x: RingElem) -> RingElem:
     """The monomials of x with l > k*i (not regular on the second chart)."""
-    k = x.params.k
-    return x.select(lambda l, i: l > k * i)
+    k, nums = x.params.k, x.nums
+    return _part(x.params, x.den, nums, {(l, i): n for (l, i), n in nums.items() if l > k * i})
 
 
 def truncate(x: RingElem, m_new: int) -> RingElem:

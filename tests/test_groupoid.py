@@ -7,10 +7,10 @@ import pytest
 
 from negcurve import groupoid
 from negcurve.extensions import ExtClass, Mat2, ModuliParams, basis_W, restrict_level
-from negcurve.groupoid import (GroupElem, act, cocycle_matrices, extract_group_elem,
-                               induced_inverse, induced_product, sample_ext_class,
-                               sample_group_elem, substream, verify_groupoid)
-from negcurve.ring import RingElem, RingParams, invert_unit, sector_split
+from negcurve.groupoid import (CocyclePair, GroupElem, act, cech_parts, cocycle_matrices,
+                               extract_group_elem, induced_inverse, induced_product,
+                               sample_ext_class, sample_group_elem, substream, verify_groupoid)
+from negcurve.ring import RingElem, RingParams, invert_unit, plus_part, sector_split
 
 
 def params_of(k, j, m):
@@ -285,6 +285,146 @@ def test_truncation_commutes_with_everything():
                     == induced_product(g1, g2, p).truncated(m_new))
             assert (induced_inverse(g1.truncated(m_new), tp)
                     == induced_inverse(g1, p).truncated(m_new))
+
+
+# -- the shortened paths against the full ones ---------------------------------
+
+# Copies of the Cech split, the action and the pair builder as they were
+# before the action stopped at its last band layer and the split became
+# one pass; kept only as the references the shortened paths must match.
+
+
+def _reference_cech_parts(c, x, j):
+    y = (c * x).shift(-j)
+    return plus_part(y), y.v_regular_part()
+
+
+def _reference_act(g, p):
+    # The full residual update runs after every band layer, the last included.
+    params = g.params
+    j = params.j
+    a_rep, d_rep, c_rep = g.a.rep, g.d.rep, g.c.rep
+    inv_d00 = 1 / d_rep.coeff(0, 0)
+    a22 = d_rep + _reference_cech_parts(c_rep, p.p, j)[0]
+    residual = a_rep * p.p
+    sol = RingElem.zero(params.ring)
+    for i in range(1, params.i_cap() + 1):
+        band = params.band_rows(i)
+        delta = residual.select(lambda l, ii: ii == i and l in band)
+        if delta.is_zero():
+            continue
+        delta = delta.scale(inv_d00)
+        sol = sol + delta
+        _, f_delta = _reference_cech_parts(c_rep, delta, j)
+        residual = residual - a22 * delta + f_delta * p.p
+    return ExtClass(params, sol)
+
+
+def _reference_pair(g, p, target):
+    j = p.params.j
+    a_rep, b_rep, c_rep, d_rep = g.a.rep, g.b.rep, g.c.rep, g.d.rep
+    f_plus, f_v = _reference_cech_parts(c_rep, target.p, j)
+    g_plus, g_v = _reference_cech_parts(c_rep, p.p, j)
+    a11, b11, a22, b22 = a_rep - f_plus, a_rep + f_v, d_rep + g_plus, d_rep - g_v
+    succ, good, prec = sector_split(b11 * p.p - target.p * a22, j)
+    assert good.is_zero()
+    return CocyclePair(Mat2(a11, b_rep + succ.shift(-j), c_rep, a22),
+                       Mat2(b11, b_rep.shift(2 * j) - prec.shift(j), c_rep.shift(-2 * j), b22))
+
+
+SWEEP_TUPLES = [(k, j, m) for k in (1, 2, 3) for j in (2, 3) for m in (2, 3, 4)
+                if (2 * j - 2) // k >= 1]
+LADDER_TUPLES = [(1, 2, 3), (1, 3, 4), (1, 4, 6), (1, 6, 8)]
+DENSE = 10 ** 6  # as max_terms, the samplers fill every band and section monomial
+
+
+def shortened_path_cases(k, j, m):
+    """(g, p) pairs at (k, j, m): sparse and dense draws, the identity, and a
+    class whose first band layer is zero when the band has a second one."""
+    params = params_of(k, j, m)
+    rng = substream(2121, 100 * k + 10 * j + m)
+    cases = [(sample_group_elem(params, rng), sample_ext_class(params, rng)) for _ in range(6)]
+    cases += [(sample_group_elem(params, rng, DENSE), sample_ext_class(params, rng, DENSE))
+              for _ in range(1 if m > 6 else 2)]
+    cases.append((GroupElem.identity(params), cases[-1][1]))
+    upper = [c for (i, l), c in zip(basis_W(params), to_vector(cases[-1][1])) if i >= 2]
+    if upper:
+        zeros = len(basis_W(params)) - len(upper)
+        cases.append((cases[-2][0], ExtClass.from_vector(params, [0] * zeros + upper)))
+    return params, cases
+
+
+@pytest.mark.parametrize("k,j,m", sorted(set(SWEEP_TUPLES + LADDER_TUPLES + [(3, 2, 3)])))
+def test_shortened_paths_match_the_full_ones(k, j, m):
+    params, cases = shortened_path_cases(k, j, m)
+    if (k, j, m) == (3, 2, 3):
+        assert basis_W(params) == []
+    for g, p in cases:
+        q = act(g, p)
+        assert q == _reference_act(g, p)
+        for x in (p.p, q.p, g.a.rep, g.d.rep * p.p):
+            got = cech_parts(g.c.rep, x, j)
+            want = _reference_cech_parts(g.c.rep, x, j)
+            assert got == want
+            # Same terms in the same order as the shifted product's.
+            assert [list(part.terms.items()) for part in got] == \
+                [list(part.terms.items()) for part in want]
+        assert cocycle_matrices(g, p) == _reference_pair(g, p, q)
+    g1, p = cases[0]
+    g2 = cases[1][0]
+    q = act(g2, p)
+    q2 = act(g1, q)
+    pair1, pair2 = _reference_pair(g1, q, q2), _reference_pair(g2, p, q)
+    want = extract_group_elem(pair1.A * pair2.A,
+                              pair1.B.a11 * pair2.B.a11 + pair1.B.a12 * pair2.B.a21, p, q2)
+    assert induced_product(g1, g2, p, check=False) == induced_product(g1, g2, p) == want
+
+
+def test_a_class_with_an_empty_first_band_layer():
+    # At (1,3,4) the band has three u-orders; p lives on the second and third only.
+    params = params_of(1, 3, 4)
+    ring = params.ring
+    p = ExtClass(params, RingElem(ring, {(1, 2): 2, (2, 3): Fraction(-1, 3)}))
+    for idx in range(5):
+        g = sample_group_elem(params, substream(31, idx), DENSE)
+        q = act(g, p)
+        assert q == _reference_act(g, p)
+        assert cocycle_matrices(g, p) == _reference_pair(g, p, q)
+
+
+def _count_products(monkeypatch):
+    calls = []
+    original = RingElem.__mul__
+
+    def counted(x, y):
+        calls.append((x, y))
+        return original(x, y)
+
+    monkeypatch.setattr(RingElem, "__mul__", counted)
+    return calls
+
+
+def test_sweep_sample_product_count(monkeypatch):
+    # 384.6 products a sample when the action ran the residual update after
+    # its last band layer and formed A22 up front (seed 1, 60 samples).
+    calls = _count_products(monkeypatch)
+    report = verify_groupoid(ModuliParams(RingParams(2, 4), 3), 60, 1)
+    assert report["all_passed"]
+    assert len(calls) / 60 <= 335
+
+
+def test_action_with_one_band_layer_makes_one_product(monkeypatch):
+    # At (2,2,4) the band is the single u-order 1: the action is a * p read off
+    # the band and scaled, with no Cech product and no residual update.
+    params = params_of(2, 2, 4)
+    assert params.i_cap() == 1
+    rng = substream(224, 0)
+    g = sample_group_elem(params, rng, DENSE)
+    p = sample_ext_class(params, rng, DENSE)
+    want = _reference_act(g, p)
+    calls = _count_products(monkeypatch)
+    assert act(g, p) == want
+    assert calls == [(g.a.rep, p.p)]
 
 
 # -- group element plumbing ----------------------------------------------------

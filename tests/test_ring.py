@@ -69,6 +69,19 @@ def test_u_exponent_bounds_enforced():
         RingElem(params, {(0, -1): 1})
 
 
+def test_shift_rejects_a_negative_u_exponent():
+    # Dividing by u would put u^-1 outside [0, m-1], or silently drop a factor u.
+    params = RingParams(1, 3)
+    for x in (RingElem.one(params), RingElem.monomial(params, 2, 1, Fraction(1, 2)),
+              RingElem.zero(params)):
+        with pytest.raises(ValueError, match="negative"):
+            x.shift(0, -1)
+        with pytest.raises(ValueError, match="negative"):
+            x.shift(3, -2)
+    assert RingElem.one(params).shift(-4, 2) == RingElem.monomial(params, -4, 2)
+    assert RingElem.monomial(params, 2, 1).shift(0, 2).is_zero()
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         RingParams(0, 3)
