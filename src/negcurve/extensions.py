@@ -46,9 +46,6 @@ class ModuliParams:
         """The z-exponent band at u-order i (may be empty)."""
         return range(self.k * i - self.j + 1, self.j)
 
-    def in_band(self, l: int, i: int) -> bool:
-        return self.k * i - self.j + 1 <= l <= self.j - 1
-
     def restricted(self, m_new: int) -> "ModuliParams":
         if m_new < 1:
             raise ValueError(f"restriction target level m must be at least 1, got {m_new}")
@@ -63,8 +60,8 @@ def basis_W(params: ModuliParams) -> list[tuple[int, int]]:
 
 
 def class_is_zero(y: RingElem, params: ModuliParams) -> bool:
-    """Whether y is a coboundary: no monomials inside the band."""
-    return not any(params.in_band(l, i) for (l, i) in y.nums)
+    """Whether y is a coboundary: its band sector k*i - j < l < j is empty."""
+    return sector_split(y, params.j)[1].is_zero()
 
 
 class ExtClass(_Frozen):

@@ -376,6 +376,26 @@ def brute_force_hom(p: ExtClass, p_target: ExtClass,
     empty) gives exactly the system built for degree.  Each basis pair's
     A holds the nonzero entries of one sparse nullspace vector, and its B
     is T(p') A T(p)^-1, the same product the solver's system is read from.
+
+    Every entry of A of every pair lies in z-degrees <= D = k(m-1) + 2j,
+    so any degree >= D gives all of Hom.  Solve B = T(p') A T(p)^-1 for
+    A, with B v-regular (l <= k*i) and i <= m-1 throughout:
+
+    - A21 = z^2j B21, so l <= k*i + 2j <= D.
+    - A11 = B11 - z^-j p' A21 and A22 = B22 + z^-j A21 p.  A band term of
+      p or p' has i >= 1 and l <= j - 1, so at u-order i the product
+      terms have l <= (j - 1) + k(i-1) + 2j - j, and
+      l <= max(k*i, k(i-1) + 2j - 1) <= D.
+    - A12 = z^-2j (B12 - z^j (p' A22 - A11 p) + p' A21 p).  At u-order i,
+      z^-2j B12 gives l <= k*i - 2j; the middle products give
+      l <= (j - 1) + max(k(i-1), k(i-2) + 2j - 1) - j; the last, with
+      two band factors, gives l <= 2(j - 1) + k(i-2) + 2j - 2j.  Each is
+      below D.
+
+    The bound is sharp: A = (0, 0; z^D u^(m-1), 0) pairs with
+    B = (0, 0; z^(D-2j) u^(m-1), 0), since every other product carries a
+    band factor and so a u^m, while z^(D+1) u^(m-1) in A21 puts
+    z^(k(m-1)+1) u^(m-1) in B21, which is not v-regular.
     """
     if p.params != p_target.params:
         raise ValueError("mismatched moduli parameters")

@@ -22,9 +22,10 @@ den*coeff of the nonzero terms, with gcd(den, *numerators) == 1.  Every
 operation works on that form in integers.  The common factor is divided
 out by one multi-argument gcd, and only where one can appear: after a
 product, after a sum whose denominators share a factor, and after a
-projection or shift that drops terms.  Fractions are built only when a
-caller reads ``terms``, ``coeff`` or ``canonical_terms``, and are built
-anew on each read: the integer form is the only copy kept.
+projection that drops terms (a shift by a power of z drops none).
+Fractions are built only when a caller reads ``terms``, ``coeff`` or
+``canonical_terms``, and are built anew on each read: the integer form
+is the only copy kept.
 """
 
 from __future__ import annotations
@@ -287,18 +288,9 @@ class RingElem(_Frozen):
             nums = {key: n // g * p for key, n in nums.items()}
         return _form(self.params, den * (q // g), nums)
 
-    def shift(self, dl: int, di: int = 0) -> "RingElem":
-        """Multiply by the monomial z^dl u^di, di >= 0."""
-        if di < 0:
-            raise ValueError(f"u-exponent shift {di} is negative")
-        nums = self.nums
-        if di == 0:
-            if dl == 0:
-                return self
-            return _form(self.params, self.den, {(l + dl, i): n for (l, i), n in nums.items()})
-        cap = self.params.m - di
-        return _part(self.params, self.den, nums,
-                     {(l + dl, i + di): n for (l, i), n in nums.items() if i < cap})
+    def shift(self, dl: int) -> "RingElem":
+        """Multiply by z^dl, a unit: every term moves and none is dropped."""
+        return _form(self.params, self.den, {(l + dl, i): n for (l, i), n in self.nums.items()})
 
     # -- support projections -----------------------------------------------
 
@@ -307,11 +299,6 @@ class RingElem(_Frozen):
         nums = self.nums
         return _part(self.params, self.den, nums,
                      {(l, i): n for (l, i), n in nums.items() if pred(l, i)})
-
-    def v_regular_part(self) -> "RingElem":
-        k, nums = self.params.k, self.nums
-        return _part(self.params, self.den, nums,
-                     {(l, i): n for (l, i), n in nums.items() if l <= k * i})
 
     def is_u_regular(self) -> bool:
         return all(l >= 0 for (l, _) in self.nums)

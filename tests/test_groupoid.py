@@ -11,6 +11,8 @@ from negcurve.groupoid import (CocyclePair, GroupElem, act, cech_parts, cocycle_
                                extract_group_elem, induced_inverse, induced_product,
                                sample_ext_class, sample_group_elem, substream, verify_groupoid)
 from negcurve.ring import RingElem, RingParams, invert_unit, plus_part, sector_split
+from negcurve.sections import h0_basis
+from test_acceptance import GRID
 
 
 def params_of(k, j, m):
@@ -296,7 +298,7 @@ def test_truncation_commutes_with_everything():
 
 def _reference_cech_parts(c, x, j):
     y = (c * x).shift(-j)
-    return plus_part(y), y.v_regular_part()
+    return plus_part(y), y.select(lambda l, i: l <= y.params.k * i)
 
 
 def _reference_act(g, p):
@@ -465,6 +467,67 @@ def test_verify_groupoid_degenerate_band():
     report = verify_groupoid(params_of(3, 1, 3), 25, 1)
     assert report["dim_W"] == 0
     assert report["all_passed"]
+
+
+GENERIC_BOUND = 2 ** 40  # S = {+-1, ..., +-2^40}, so |S| = 2^41 nonzero integers
+
+
+def _generic_terms(basis, rng):
+    return {(l, i): rng.randint(1, GENERIC_BOUND) * rng.choice((-1, 1)) for (l, i) in basis}
+
+
+def full_ext_class(params, rng):
+    """A class with every band coefficient drawn from S."""
+    basis = [(l, i) for (i, l) in basis_W(params)]
+    return ExtClass(params, RingElem(params.ring, _generic_terms(basis, rng)))
+
+
+def full_group_elem(params, rng):
+    """An automorphism with every h0 monomial of each slot drawn from S."""
+    ring, j = params.ring, params.j
+    return gelem(params, *(RingElem(ring, _generic_terms(h0_basis(s, ring), rng))
+                           for s in (0, -2 * j, 2 * j, 0)))
+
+
+@pytest.mark.parametrize("k,j,m", GRID)
+def test_groupoid_laws_hold_at_a_generic_point(monkeypatch, k, j, m):
+    """Every law family of ``_check_sample`` on one full-support sample.
+
+    Each law equates rational functions of the N coefficients of
+    (g1, g2, g3, p) whose only denominators are powers of the six units
+    a(0,0), d(0,0) of g1, g2, g3: the action divides by d(0,0), inversion
+    by det A(0,0) = a(0,0) d(0,0), and the a(0,0), d(0,0) of a product or
+    an inverse are products of units.  Clearing them turns a false law
+    into a nonzero polynomial Q, and a sample drawn uniformly from S^N is
+    a zero of Q with probability at most deg(Q)/|S| (Schwartz, J. ACM 27
+    (1980)).
+
+    deg(Q) <= deg(m) = 13(2m - 1).  Each step of the computation is a
+    ring operation, a projection by monomial position, a power of z or a
+    division by a (0,0) coefficient, so it commutes with u -> t*u and
+    with a constant diagonal gauge D_x = diag(lam_x, mu_x) at each base
+    point x, which sends an element from s to t to D_t g D_s^-1 and a
+    class at x to lam_x/mu_x times it.  So the law coefficients are
+    homogeneous for both:
+    - Weight 2i at u-order i, less 1 for b and p and plus 1 for c (the
+      gauge lam_x = lam, mu_x = 1 everywhere), gives every coefficient
+      but the units a weight >= 1, and a law coefficient a weight
+      <= 2m - 1; so a monomial has nu <= 2m - 1 factors besides units.
+    - In each family the elements join the base points in a tree (at
+      most p -> q3 -> q23 -> q123).  Summing the gauge degrees over the
+      side of an element's edge that holds its target fixes the exponent
+      of each of its units to within nu of a constant in {-1, 0, 1}.
+    Clearing denominators thus adds at most nu + 2m - 1 per unit, and
+    deg(Q) <= nu + 6(nu + 2m - 1) <= 13(2m - 1): 91 on this grid
+    (m <= 4), so a false law passes one sample with probability at most
+    91/2^41 < 5e-11.
+    """
+    monkeypatch.setattr(groupoid, "sample_ext_class", full_ext_class)
+    monkeypatch.setattr(groupoid, "sample_group_elem", full_group_elem)
+    params = params_of(k, j, m)
+    results = groupoid._check_sample(params, substream(40, 100 * k + 10 * j + m),
+                                     with_truncation=True)
+    assert len(results) == 8 and all(results.values()), results  # truncation included
 
 
 @pytest.mark.parametrize("samples,truncation_samples", [(0, 0), (-3, 0), (5, -4)])

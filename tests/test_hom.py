@@ -15,6 +15,7 @@ from negcurve.homspaces import (_c_differential, brute_force_hom, build_linear_s
                                 spectral_differentials, witness_condition)
 from negcurve.ring import RingElem, RingParams
 from negcurve.sections import h0_basis, h0_dim, h1_dim
+from test_acceptance import GRID
 from test_linalg import integer_rows
 
 
@@ -303,8 +304,8 @@ def reference_build_linear_system(p: ExtClass, p_target: ExtClass) -> list[dict[
     ring = p.params.ring
     band_index = {li: r for r, li in enumerate(ext1_band(p.params))}
     # Each image is made when its unknown is read, so none outlives its row entries.
-    images = chain((-p.p.shift(l, i) for (l, i) in h0_basis(0, ring)),
-                   (p_target.p.shift(l, i) for (l, i) in h0_basis(0, ring)),
+    images = chain((-(p.p * RingElem.monomial(ring, l, i)) for (l, i) in h0_basis(0, ring)),
+                   (p_target.p * RingElem.monomial(ring, l, i) for (l, i) in h0_basis(0, ring)),
                    (_c_differential(RingElem.monomial(ring, l, i), p, p_target)
                     for (l, i) in h0_basis(2 * p.params.j, ring)))
     rows: list[dict[int, Fraction]] = [{} for _ in band_index]
@@ -571,7 +572,9 @@ def reference_hom_space(p, p_target, degree):
     pp = p.p
     ptp = p_target.p
     pp_ptp = pp * ptp
-    one = RingElem.one(ring)
+
+    def mono(l, i):
+        return RingElem.monomial(ring, l, i)
 
     # Contribution of a unit coefficient of each A entry to each B entry.
     # B11 = A11 + z^-j p' A21            B12 = z^2j A12 + z^j p' A22
@@ -579,13 +582,13 @@ def reference_hom_space(p, p_target, degree):
     # B22 = A22 - z^-j A21 p
     def contributions(entry: int, l: int, i: int):
         if entry == 0:  # A11
-            return ((0, one.shift(l, i)), (1, pp.shift(l + j, i).scale(-1)))
+            return ((0, mono(l, i)), (1, (pp * mono(l + j, i)).scale(-1)))
         if entry == 1:  # A12
-            return ((1, one.shift(l + 2 * j, i)),)
+            return ((1, mono(l + 2 * j, i)),)
         if entry == 2:  # A21
-            return ((0, ptp.shift(l - j, i)), (1, pp_ptp.shift(l, i).scale(-1)),
-                    (2, one.shift(l - 2 * j, i)), (3, pp.shift(l - j, i).scale(-1)))
-        return ((1, ptp.shift(l + j, i)), (3, one.shift(l, i)))  # A22
+            return ((0, ptp * mono(l - j, i)), (1, (pp_ptp * mono(l, i)).scale(-1)),
+                    (2, mono(l - 2 * j, i)), (3, (pp * mono(l - j, i)).scale(-1)))
+        return ((1, ptp * mono(l + j, i)), (3, mono(l, i)))  # A22
 
     rows = {}
     for entry in range(4):
@@ -666,6 +669,28 @@ def test_brute_force_stabilizes_at_d_on_dense_1_6_8():
         brute_force_hom(p, q, degree - 1)
     dim = brute_force_hom(p, q, degree)[0]
     assert dim == hom_ext_dims(p, q).dim_hom == 164
+
+
+@pytest.mark.parametrize("k,j,m", GRID)
+def test_degree_bound_of_brute_force_is_sharp(k, j, m):
+    # brute_force_hom's docstring proves every A of a Hom lies in l <= D;
+    # A = (0, 0; z^D u^(m-1), 0) reaches it, and one z more leaves Hom.
+    params = params_of(k, j, m)
+    ring = params.ring
+    rng = substream(4, 100 * k + 10 * j + m)
+    p, p_target = (sample_ext_class(params, rng, max_terms=10 ** 6) for _ in range(2))
+    t_source = p.transition()
+    # det T(p) = 1, so T(p)^-1 is its adjugate.
+    t_source_inv = Mat2(t_source.a22, -t_source.a12, -t_source.a21, t_source.a11)
+    zero = RingElem.zero(ring)
+    top = k * (m - 1) + 2 * j
+    for degree, is_hom in ((top, True), (top + 1, False)):
+        a_mat = Mat2(zero, zero, RingElem.monomial(ring, degree, m - 1), zero)
+        pair = CocyclePair(a_mat, p_target.transition() * a_mat * t_source_inv)
+        assert pair.intertwines(p, p_target)
+        assert pair.is_chart_regular() == is_hom
+        if is_hom:
+            assert pair.B == Mat2(zero, zero, RingElem.monomial(ring, k * (m - 1), m - 1), zero)
 
 
 def test_dense_profile_at_1_6_8():

@@ -53,3 +53,46 @@ def test_no_unused_imports():
     paths = [p for p in sorted((root / "src" / "negcurve").glob("*.py")) if p.name != "__init__.py"]
     paths += sorted((root / "tests").glob("*.py"))
     assert [name for path in paths for name in unused_imports(path)] == []
+
+
+def definitions(path: Path) -> dict[str, int]:
+    """The functions, methods and classes a module defines, at any depth, with their lines."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name: node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, kinds)}
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Every name a module reads, attribute it touches, or string constant it holds."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_definition_has_a_caller():
+    """No API that nothing calls: each definition in src is referenced in src or perfbench.
+
+    The check works by name, not by binding: a definition counts as called
+    when its bare name appears anywhere in ``src/negcurve`` or ``perfbench``
+    as a ``Name``, an ``Attribute`` or a whole string constant, so two
+    definitions sharing a name cover each other.  String constants count
+    because the benchmark tracer patches functions and methods by name.
+    Dunders, which the language calls, and the names of ``negcurve.__all__``
+    are exempt; tests are not callers.
+    """
+    root = Path(__file__).resolve().parent.parent
+    sources = sorted((root / "src" / "negcurve").glob("*.py"))
+    referenced = set().union(*(referenced_names(path)
+                               for path in sources + sorted((root / "perfbench").glob("*.py"))))
+    exempt = set(negcurve.__all__)
+    uncalled = [f"{path.name}:{line} {name}" for path in sources
+                for name, line in definitions(path).items()
+                if name not in referenced and name not in exempt
+                and not (name.startswith("__") and name.endswith("__"))]
+    assert uncalled == []

@@ -70,16 +70,19 @@ def test_u_exponent_bounds_enforced():
 
 
 def test_shift_rejects_a_negative_u_exponent():
-    # Dividing by u would put u^-1 outside [0, m-1], or silently drop a factor u.
+    # shift moves by a power of z only: it is the product by the unit z^dl,
+    # and a u-exponent, negative or not, is no argument of it.
     params = RingParams(1, 3)
     for x in (RingElem.one(params), RingElem.monomial(params, 2, 1, Fraction(1, 2)),
-              RingElem.zero(params)):
-        with pytest.raises(ValueError, match="negative"):
-            x.shift(0, -1)
-        with pytest.raises(ValueError, match="negative"):
-            x.shift(3, -2)
-    assert RingElem.one(params).shift(-4, 2) == RingElem.monomial(params, -4, 2)
-    assert RingElem.monomial(params, 2, 1).shift(0, 2).is_zero()
+              RingElem.zero(params), elem(params, (3, 0, Fraction(1, 2)), (1, 2, Fraction(1, 3)),
+                                          (-2, 1, -4))):
+        for dl in (-4, -1, 0, 2):
+            moved, product = x.shift(dl), x * RingElem.monomial(params, dl, 0)
+            assert moved == product
+            assert list(moved.terms.items()) == list(product.terms.items())
+        for di in (1, -1):
+            with pytest.raises(TypeError):
+                x.shift(0, di)
 
 
 def test_params_validation():
@@ -221,7 +224,8 @@ def test_product_kernel_drops_exact_cancellations():
     # The cross terms z*u cancel and are not stored; u^2 survives.
     assert list((x * y).terms) == [(2, 0), (-8, 2)]
     # Two-term operands whose product is cut off entirely by u^3 = 0.
-    top, low = (z + z.shift(1)).shift(0, 2), y.shift(0, 1)
+    top = (z + z.shift(1)) * RingElem.monomial(params, 0, 2)
+    low = y * RingElem.monomial(params, 0, 1)
     assert len(top.terms) == len(low.terms) == 2
     assert_matches_reference(top, low)
     assert (top * low).is_zero()
@@ -262,7 +266,7 @@ def test_products_make_no_per_term_fraction_arithmetic(monkeypatch):
     calls = _counting(monkeypatch, ("__mul__", "__rmul__", "__add__", "__radd__"))
     xy = x * y
     shifted = unit_mono * x
-    moved = x.shift(-3, 2)
+    moved = x * unit_mono
     assert calls == []
     assert len(xy.terms) > 1 and len(shifted.terms) > 1
     assert list(moved.terms.items()) == list(shifted.terms.items())
@@ -328,8 +332,10 @@ def test_every_operation_keeps_the_integer_form_canonical(seed):
             "sub": (x - y, _reference_combine(x, y, -1)),
             "neg": (-x, {key: -v for key, v in x.terms.items()}),
             "scale": (x.scale(c), {key: c * v for key, v in x.terms.items() if c}),
-            "shift": (x.shift(dl, di), {(l + dl, i + di): v for (l, i), v in x.terms.items()
-                                        if i + di < params.m}),
+            "shift": (x.shift(dl), {(l + dl, i): v for (l, i), v in x.terms.items()}),
+            "monomial": (x * RingElem.monomial(params, dl, di),
+                         {(l + dl, i + di): v for (l, i), v in x.terms.items()
+                          if i + di < params.m}),
             "select": (x.select(lambda l, i: (l + i) % 2 == 0),
                        {(l, i): v for (l, i), v in x.terms.items() if (l + i) % 2 == 0}),
             "truncate": (truncate(x, m_new),
@@ -346,7 +352,8 @@ def test_every_operation_keeps_the_integer_form_canonical(seed):
             # Values and term order, against the Fraction reference.
             assert list(got.terms.items()) == list(want.items()), name
         assert_canonical(x * y)
-        unit = RingElem.constant(params, rng.choice((1, -2, Fraction(5, 6)))) + y.shift(0, 1)
+        unit = (RingElem.constant(params, rng.choice((1, -2, Fraction(5, 6))))
+                + y.select(lambda l, i: i >= 1))
         inverse = invert_unit(unit)
         assert_canonical(inverse)
         assert unit * inverse == RingElem.one(params)
@@ -395,11 +402,12 @@ def test_projections_drop_the_only_term_carrying_a_prime_of_den():
     third_zu2 = RingElem.monomial(params, 1, 2, Fraction(1, 3))
     assert x.select(lambda l, i: i == 0) == half_z3
     assert truncate(x, 2) == truncate(half_z3, 2)
-    assert x.shift(0, 1) == half_z3.shift(0, 1)
-    assert sector_split(x, 2) == (half_z3, third_zu2, RingElem.zero(params))
-    # A product by the unit monomial u drops z u^3 = 0 as the shift does.
     u = RingElem.monomial(params, 0, 1)
-    parts = (x.select(lambda l, i: i == 0), truncate(x, 2), x.shift(-1, 1), u * x, x * u,
+    assert x * u == half_z3 * u
+    assert sector_split(x, 2) == (half_z3, third_zu2, RingElem.zero(params))
+    # A product by a monomial divisible by u drops z u^3 = 0, in either order.
+    parts = (x.select(lambda l, i: i == 0), truncate(x, 2), x * RingElem.monomial(params, -1, 1),
+             u * x, x * u,
              *sector_split(x, 2))
     assert [(part.den, part.nums) for part in parts] == [
         (2, {(3, 0): 1}), (2, {(3, 0): 1}), (2, {(2, 1): 1}), (2, {(3, 1): 1}), (2, {(3, 1): 1}),
@@ -637,7 +645,7 @@ def test_plus_parts_low_band():
 def test_plus_parts_regularity(x):
     plus = plus_part(x)
     assert (x - plus).is_v_regular()
-    assert x - plus == x.v_regular_part()
+    assert x - plus == x.select(lambda l, i: l <= x.params.k * i)
     assert plus.is_u_regular()
     assert all(l > x.params.k * i for (l, i) in plus.terms)
 
@@ -676,7 +684,8 @@ def test_truncate_commutes_with_splits(x, j, m_new):
     for part, tpart in zip(sector_split(x, j), sector_split(tx, j)):
         assert truncate(part, m_new) == tpart
     assert truncate(plus_part(x), m_new) == plus_part(tx)
-    assert truncate(x.v_regular_part(), m_new) == tx.v_regular_part()
+    assert truncate(x - plus_part(x), m_new) == tx - plus_part(tx)
+    assert (tx - plus_part(tx)).is_v_regular()
 
 
 # -- serialization ------------------------------------------------------------
