@@ -6,29 +6,27 @@ p has a unique normal form supported on the band of monomials z^l u^i
 with k*i - j + 1 <= l <= j - 1 and i >= 1; the band is finite and stops
 growing once k*i exceeds 2j - 2.
 
-``ExtClass`` and ``Mat2`` are immutable values on ``ring._Frozen``:
-fields are never reassigned, equality compares the fields, and copies
-and pickles go back through the constructor.
+``ModuliParams``, ``ExtClass`` and ``Mat2`` are immutable values on
+``ring._Frozen``, the base of all nine value classes of the package:
+fields are never reassigned, equality and hashing go by the fields, and
+copies and pickles go back through the constructor.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .ring import (RingElem, RingParams, _fields, _Frozen, elem_from_dict, elem_to_dict,
                    sector_split, truncate)
 
 
-@dataclass(frozen=True)
-class ModuliParams:
+class ModuliParams(_Frozen):
     """Ring parameters together with the splitting type j >= 1."""
 
-    ring: RingParams
-    j: int
+    __slots__ = ("ring", "j")
 
-    def __post_init__(self):
-        if type(self.j) is not int or self.j < 1:
+    def __init__(self, ring: RingParams, j: int):
+        if type(j) is not int or j < 1:
             raise ValueError("j must be a positive integer")
+        super().__init__(ring, j)
 
     @property
     def k(self) -> int:

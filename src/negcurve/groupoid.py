@@ -18,7 +18,6 @@ groupoid laws exactly on seeded random samples.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -89,12 +88,13 @@ class GroupElem(_Frozen):
         return cls(params, *(TwistedSection.from_dict(sec) for sec in secs))
 
 
-@dataclass(frozen=True)
-class CocyclePair:
+class CocyclePair(_Frozen):
     """Chart-regular matrices (A, B) intertwining two transition matrices."""
 
-    A: Mat2
-    B: Mat2
+    __slots__ = ("A", "B")
+
+    def __init__(self, A: Mat2, B: Mat2):  # named, so that CocyclePair(A=..., B=...) works
+        super().__init__(A, B)
 
     def intertwines(self, p: ExtClass, p_target: ExtClass) -> bool:
         return self.B * p.transition() == p_target.transition() * self.A

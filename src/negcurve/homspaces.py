@@ -30,14 +30,13 @@ nullspace vectors.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from math import gcd, lcm
 from operator import itemgetter
 
 from . import linalg
 from .extensions import ExtClass, Mat2, ModuliParams, class_is_zero
 from .groupoid import CocyclePair, GroupElem, act, cech_parts
-from .ring import ConsistencyError, RingElem, _normal
+from .ring import ConsistencyError, RingElem, _Frozen, _normal
 from .sections import h0_basis, h0_dim, h1_dim
 
 
@@ -282,24 +281,21 @@ def spectral_differentials(p: ExtClass, p_target: ExtClass) -> tuple[int, int]:
     return rank_d1, len(pivots) - rank_d1
 
 
-@dataclass(frozen=True)
-class HomProfile:
+class HomProfile(_Frozen):
     """Dimension bookkeeping for Hom(E_p, E_p') and Ext^1(E_p, E_p')."""
 
-    dim_hom: int
-    dim_ext1: int
-    dim_ker_d1: int
-    dim_ker_d2: int
-    dim_hom_L2L1: int
+    __slots__ = ("dim_hom", "dim_ext1", "dim_ker_d1", "dim_ker_d2", "dim_hom_L2L1")
 
-    def __post_init__(self):
-        if self.dim_hom != self.dim_hom_L2L1 + self.dim_ker_d1 + self.dim_ker_d2:
+    def __init__(self, dim_hom: int, dim_ext1: int, dim_ker_d1: int, dim_ker_d2: int,
+                 dim_hom_L2L1: int):
+        if dim_hom != dim_hom_L2L1 + dim_ker_d1 + dim_ker_d2:
             raise ConsistencyError("Hom filtration dimensions do not add up")
-        if self.dim_ext1 < 0:
+        if dim_ext1 < 0:
             raise ConsistencyError("negative Ext dimension")
+        super().__init__(dim_hom, dim_ext1, dim_ker_d1, dim_ker_d2, dim_hom_L2L1)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self.__slots__, self._values(self)))
 
 
 def hom_ext_dims(p: ExtClass, p_target: ExtClass) -> HomProfile:

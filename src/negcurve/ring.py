@@ -9,11 +9,14 @@ neighborhood of the zero section are finitely supported sums
 with exact rational coefficients.  A monomial z^l u^i is regular on the
 first chart iff l >= 0 and on the second chart iff l <= k*i (because
 z^l u^i = xi^(k*i - l) v^i).  Everything in this module is immutable and
-pure; all arithmetic is exact over the rationals.  The slotted value
-classes of the package (``RingElem`` here, ``ExtClass``, ``Mat2`` and
-``GroupElem`` downstream) share one base, ``_Frozen``: their fields are
-set once and never reassigned or deleted, two values are equal when
-their types and fields are, and copies and pickles go back through the
+pure; all arithmetic is exact over the rationals.  The nine value
+classes of the package (``RingParams`` and ``RingElem`` here,
+``ModuliParams``, ``ExtClass`` and ``Mat2`` in ``extensions``,
+``TwistedSection`` in ``sections``, ``GroupElem`` and ``CocyclePair`` in
+``groupoid`` and ``HomProfile`` in ``homspaces``) share one base,
+``_Frozen``: their fields are set once and never reassigned or deleted,
+two values are equal when their types and fields are, their hashes are
+those of their fields, and copies and pickles go back through the
 constructor (for ``RingElem``, through its integer form).
 
 Coefficients are stored in one integer form: a common denominator
@@ -31,7 +34,6 @@ is the only copy kept.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
@@ -41,20 +43,6 @@ from typing import Callable, Mapping
 
 class ConsistencyError(RuntimeError):
     """An internal exact identity failed; signals an implementation defect."""
-
-
-@dataclass(frozen=True)
-class RingParams:
-    """Chart data: self-intersection -k and truncation modulus u^m = 0."""
-
-    k: int
-    m: int
-
-    def __post_init__(self):
-        if type(self.k) is not int or self.k < 1:
-            raise ValueError("k must be a positive integer")
-        if type(self.m) is not int or self.m < 1:
-            raise ValueError("m must be a positive integer")
 
 
 _EXACT_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -82,12 +70,17 @@ def _as_fraction(c) -> Fraction:
 
 
 class _Frozen:
-    """Base of the slotted value classes: fields set once, compared field by field.
+    """Base of the nine value classes: fields set once, compared field by field.
 
-    ``__init__`` sets each slot once, in ``__slots__`` order, through the
-    ``__set__`` of its descriptor (``__init_subclass__`` stores them in
-    ``_setters``); setting or deleting an attribute afterwards raises.
-    Two values are equal when their types and all their fields are.
+    The classes are ``RingParams``, ``RingElem``, ``ModuliParams``,
+    ``ExtClass``, ``Mat2``, ``TwistedSection``, ``GroupElem``,
+    ``CocyclePair`` and ``HomProfile``.  ``__init__`` sets each slot
+    once, in ``__slots__`` order, through the ``__set__`` of its
+    descriptor (``__init_subclass__`` stores them in ``_setters``);
+    setting or deleting an attribute afterwards raises.  Two values are
+    equal when their types and all their fields are, and a value hashes
+    as the tuple of its fields: so a value holding a ``RingElem``, which
+    defines its own ``__eq__`` and is unhashable, is unhashable too.
     Copies and pickles call the constructor on the fields, so they are
     validated again.  Subclasses declare two or more slots, so that
     ``_values`` returns a tuple.
@@ -115,9 +108,25 @@ class _Frozen:
     def __eq__(self, other):
         return type(other) is type(self) and self._values(self) == other._values(other)
 
+    def __hash__(self):
+        return hash(self._values(self))
+
     def __repr__(self):
         fields = zip(self.__slots__, self._values(self))
         return f"{type(self).__name__}({', '.join(f'{name}={value!r}' for name, value in fields)})"
+
+
+class RingParams(_Frozen):
+    """Chart data: self-intersection -k and truncation modulus u^m = 0."""
+
+    __slots__ = ("k", "m")
+
+    def __init__(self, k: int, m: int):
+        if type(k) is not int or k < 1:
+            raise ValueError("k must be a positive integer")
+        if type(m) is not int or m < 1:
+            raise ValueError("m must be a positive integer")
+        super().__init__(k, m)
 
 
 class RingElem(_Frozen):

@@ -10,27 +10,22 @@ quadric relations x_a x_b = x_{a+1} x_{b-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .ring import RingElem, RingParams, _fields, elem_from_dict, elem_to_dict
+from .ring import RingElem, RingParams, _fields, _Frozen, elem_from_dict, elem_to_dict
 
 
-@dataclass(frozen=True)
-class TwistedSection:
+class TwistedSection(_Frozen):
     """A global section of O(s), stored by its first-chart representative."""
 
-    s: int
-    rep: RingElem
+    __slots__ = ("s", "rep")
 
-    def __post_init__(self):
-        if type(self.s) is not int:
+    def __init__(self, s: int, rep: RingElem):
+        if type(s) is not int:
             raise ValueError("the twist s must be an integer")
-        k = self.rep.params.k
-        for (l, i) in self.rep.nums:
-            if l < 0 or l > k * i + self.s:
-                raise ValueError(
-                    f"term z^{l} u^{i} violates the O({self.s}) support bound"
-                )
+        k = rep.params.k
+        for (l, i) in rep.nums:
+            if l < 0 or l > k * i + s:
+                raise ValueError(f"term z^{l} u^{i} violates the O({s}) support bound")
+        super().__init__(s, rep)
 
     def to_dict(self) -> dict:
         data = elem_to_dict(self.rep)

@@ -728,10 +728,6 @@ def test_param_mismatch_rejected():
 # dim End(split) - dim Hom(E_p, E_p).  It is computed from `act` only: no
 # linear system, no Hom rows and no `linalg`, with the rank taken by sympy.
 
-CRITERION_5_GRID = [(k, j, m) for k in (1, 2, 3) for j in (1, 2, 3) for m in (2, 3, 4)
-                    if (2 * j - 2) // k >= 1]
-
-
 def lagrange_derivative_weights(n):
     """w with f'(0) = sum_t w[t] f(t) for every polynomial f of degree <= n.
 
@@ -789,7 +785,7 @@ def test_lagrange_derivative_weights():
             assert sum(wt * t ** deg for t, wt in enumerate(w)) == (1 if deg == 1 else 0)
 
 
-@pytest.mark.parametrize("k,j,m", CRITERION_5_GRID)
+@pytest.mark.parametrize("k,j,m", GRID)
 def test_orbit_dimension_equals_end_split_minus_hom(k, j, m):
     # Full classes, as in acceptance criterion 5; dense (1,6,8) passes too but
     # takes about 3.4 s a case, so it is left out here.

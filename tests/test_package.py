@@ -1,6 +1,9 @@
 """The package's public surface: the paper's objects and operations, and no dead imports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import negcurve
@@ -96,3 +99,19 @@ def test_every_definition_has_a_caller():
                 if name not in referenced and name not in exempt
                 and not (name.startswith("__") and name.endswith("__"))]
     assert uncalled == []
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
+    path = [str(Path(negcurve.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", code + "\nimport sys; print(sorted(sys.modules))"],
+                          capture_output=True, text=True, env=env, check=True)
+    return set(ast.literal_eval(proc.stdout))
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Against a bare interpreter, so that what ``site`` loads on a given machine does not count.
+    added = loaded_modules("import negcurve, negcurve.cli") - loaded_modules("pass")
+    assert "negcurve.cli" in added
+    assert not added & {"dataclasses", "inspect"}

@@ -3,7 +3,6 @@
 import copy
 import pickle
 import random
-from dataclasses import asdict
 from fractions import Fraction
 from math import gcd
 
@@ -12,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negcurve.extensions import ExtClass, Mat2, ModuliParams, basis_W
-from negcurve.groupoid import (GroupElem, act, cocycle_matrices, sample_ext_class,
+from negcurve.groupoid import (CocyclePair, GroupElem, act, cocycle_matrices, sample_ext_class,
                                sample_group_elem)
-from negcurve.ring import (RingElem, RingParams, _as_fraction, elem_from_dict, elem_to_dict,
-                           invert_unit, plus_part, sector_split, truncate)
+from negcurve.homspaces import HomProfile, hom_ext_dims
+from negcurve.ring import (ConsistencyError, RingElem, RingParams, _as_fraction, elem_from_dict,
+                           elem_to_dict, invert_unit, plus_part, sector_split, truncate)
+from negcurve.sections import TwistedSection
 
 
 def elem(params, *terms):
@@ -435,53 +436,89 @@ def test_ring_elements_are_immutable():
     assert dict(x.terms) == {(0, 0): Fraction(1, 2), (1, 1): Fraction(3)}
 
 
-def test_ext_classes_and_group_elements_are_immutable():
-    params = ModuliParams(RingParams(1, 3), 2)
-    rng = random.Random(3)
-    p = sample_ext_class(params, rng)
-    g = sample_group_elem(params, rng)
-    q = act(g, p)
-    mat = cocycle_matrices(g, p).A
-    for obj, fields in ((p, ("params", "p")), (g, ("params", "a", "b", "c", "d")),
-                        (mat, ("a11", "a12", "a21", "a22"))):
-        before = repr(obj)
-        for name in fields:
-            with pytest.raises(AttributeError, match="immutable"):
-                setattr(obj, name, getattr(obj, name))
-            with pytest.raises(AttributeError, match="immutable"):
-                delattr(obj, name)
-        assert repr(obj) == before
-    assert act(g, p) == q
-
-
-def test_value_classes_copy_and_pickle():
+def value_instances():
+    """One instance of each of the nine value classes, in the order of VALUE_CLASSES."""
     params = ModuliParams(RingParams(1, 3), 2)
     rng = random.Random(3)
     p = sample_ext_class(params, rng)
     g = sample_group_elem(params, rng)
     pair = cocycle_matrices(g, p)
-    for obj in (pair.A.a11, p, g, g.c, pair.A, pair):
+    return (params.ring, pair.A.a11, params, p, pair.A, g.c, g, pair, hom_ext_dims(p, p))
+
+
+VALUE_CLASSES = [RingParams, RingElem, ModuliParams, ExtClass, Mat2, TwistedSection, GroupElem,
+                 CocyclePair, HomProfile]
+
+
+def test_value_classes_are_immutable():
+    values = value_instances()
+    p, g = values[VALUE_CLASSES.index(ExtClass)], values[VALUE_CLASSES.index(GroupElem)]
+    q = act(g, p)
+    for obj in values:
+        cls = type(obj)
+        before = repr(obj)
+        for name in cls.__slots__:
+            with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
+                setattr(obj, name, getattr(obj, name))
+            with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
+                delattr(obj, name)
+        assert repr(obj) == before
+    assert [type(obj) for obj in values] == VALUE_CLASSES
+    assert act(g, p) == q
+
+
+def test_value_classes_copy_and_pickle():
+    for obj in value_instances():
         for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
             assert type(twin) is type(obj) and twin == obj
-    assert asdict(pair) == {"A": pair.A, "B": pair.B}
+    pair = value_instances()[VALUE_CLASSES.index(CocyclePair)]
+    assert {name: getattr(pair, name) for name in pair.__slots__} == {"A": pair.A, "B": pair.B}
+    # Copies go back through the constructor, so a value built past it is checked again.
+    bad = object.__new__(HomProfile)
+    for name, value in zip(HomProfile.__slots__, (4, 0, 1, 1, 1)):
+        object.__setattr__(bad, name, value)
+    with pytest.raises(ConsistencyError, match="do not add up"):
+        copy.copy(bad)
+
+
+def test_value_classes_take_keywords_and_hash_by_their_fields():
+    ring = RingParams(k=1, m=3)
+    params = ModuliParams(ring=ring, j=2)
+    assert (params.k, params.m, params.j) == (1, 3, 2)
+    _, elem, _, p, mat, sec, g, pair, profile = value_instances()
+    assert CocyclePair(A=pair.A, B=pair.B) == pair
+    assert TwistedSection(s=sec.s, rep=sec.rep) == sec
+    assert HomProfile(**profile.to_dict()) == profile
+    for x, twin in ((ring, RingParams(1, 3)), (params, ModuliParams(RingParams(1, 3), 2)),
+                    (profile, HomProfile(**profile.to_dict()))):
+        assert twin is not x and hash(twin) == hash(x) and {x: "x"}[twin] == "x"
+    for obj in (elem, p, g, mat, sec, pair):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(obj)
+    assert repr(RingParams(1, 3)) == "RingParams(k=1, m=3)"
 
 
 def unlike_values():
-    """For each slotted value class, two instances that differ in every field."""
+    """For each value class, two instances that differ in every field."""
     rng = random.Random(5)
     small, large = ModuliParams(RingParams(1, 3), 2), ModuliParams(RingParams(2, 4), 3)
     p, q = sample_ext_class(small, rng), sample_ext_class(large, rng)
     g, h = sample_group_elem(small, rng), sample_group_elem(large, rng)
     return {
+        RingParams: (small.ring, large.ring),
         RingElem: (RingElem(small.ring, {(0, 1): Fraction(1, 2)}),
                    RingElem(large.ring, {(1, 2): Fraction(2, 3)})),
+        ModuliParams: (small, large),
         ExtClass: (p, q),
-        GroupElem: (g, h),
         Mat2: (cocycle_matrices(g, p).A, cocycle_matrices(h, q).A),
+        TwistedSection: (g.c, h.c),
+        GroupElem: (g, h),
+        CocyclePair: (cocycle_matrices(g, p), cocycle_matrices(h, q)),
+        HomProfile: (HomProfile(3, 1, 1, 1, 1), HomProfile(9, 2, 3, 4, 2)),
     }
 
 
-@pytest.mark.parametrize("cls", [RingElem, ExtClass, GroupElem, Mat2], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda c: c.__name__)
 def test_value_classes_compare_field_by_field(cls):
     x, y = unlike_values()[cls]
     twin = copy.copy(x)
