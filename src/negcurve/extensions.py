@@ -77,10 +77,6 @@ class ExtClass(_Frozen):
         super().__init__(params, p)
 
     @classmethod
-    def zero(cls, params: ModuliParams) -> "ExtClass":
-        return cls(params, RingElem.zero(params.ring))
-
-    @classmethod
     def from_vector(cls, params: ModuliParams, coeffs) -> "ExtClass":
         """Build from a coefficient vector in basis_W order."""
         basis = basis_W(params)

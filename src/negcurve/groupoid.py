@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import partial
 
 from .extensions import ExtClass, Mat2, ModuliParams, basis_W, restrict_level
-from .ring import (ConsistencyError, RingElem, _fields, _Frozen, _part, invert_unit,
+from .ring import (ConsistencyError, RingElem, _fields, _Frozen, _normal, invert_unit,
                    sector_split, truncate)
 from .sections import TwistedSection, h0_basis
 
@@ -118,7 +118,7 @@ def cech_parts(c: RingElem, x: RingElem, j: int) -> tuple[RingElem, RingElem]:
     parts: tuple[dict, dict] = ({}, {})  # (plus, v), indexed by "is v-regular"
     for (l, i), n in nums.items():
         parts[l - j <= k * i][(l - j, i)] = n
-    return _part(y.params, y.den, nums, parts[0]), _part(y.params, y.den, nums, parts[1])
+    return _normal(y.params, y.den, parts[0]), _normal(y.params, y.den, parts[1])
 
 
 def act(g: GroupElem, p: ExtClass) -> ExtClass:
@@ -147,8 +147,8 @@ def act(g: GroupElem, p: ExtClass) -> ExtClass:
     sol = RingElem.zero(ring)
     for i in range(1, i_cap + 1):
         nums, low = residual.nums, k * i - j
-        delta = _part(ring, residual.den, nums,
-                      {(l, ii): n for (l, ii), n in nums.items() if ii == i and low < l < j})
+        delta = _normal(ring, residual.den,
+                        {(l, ii): n for (l, ii), n in nums.items() if ii == i and low < l < j})
         if delta.is_zero():
             continue
         delta = delta.scale(inv_d00)
@@ -215,9 +215,8 @@ def cocycle_matrices(g: GroupElem, p: ExtClass, check: bool = True) -> CocyclePa
 
 
 def _global_part(x: RingElem) -> RingElem:
-    k, nums = x.params.k, x.nums
-    return _part(x.params, x.den, nums,
-                 {(l, i): n for (l, i), n in nums.items() if 0 <= l <= k * i})
+    k = x.params.k
+    return _normal(x.params, x.den, {(l, i): n for (l, i), n in x.nums.items() if 0 <= l <= k * i})
 
 
 def extract_group_elem(A: Mat2, b11: RingElem, p: ExtClass, p_target: ExtClass) -> GroupElem:

@@ -335,16 +335,17 @@ def _hom_rows(t_target: Mat2, t_source_inv: Mat2, columns: list) -> list[dict[in
     Unknown u is the coefficient of the monomial z^l u^i of entry e of A,
     where columns[u] = (e, (l, i)).  It contributes z^l u^i times the
     image T(p') E_e T(p)^-1 of the unit matrix E_e to B = T(p') A T(p)^-1,
-    and each monomial of B with l > k*i must vanish.  Rows are scaled by
-    the lcm of the images' denominators; each row holds its columns in
-    increasing order.
+    and each monomial of B with l > k*i must vanish.  E_e = E_rs, with
+    e = 2r + s, is column r times row s, so its image is column r of
+    T(p') times row s of T(p)^-1: entry (x, y) is T(p')_xr T(p)^-1_sy,
+    one ring product.  Rows are scaled by the lcm of the images'
+    denominators; each row holds its columns in increasing order.
     """
     ring = t_target.a11.params
     k, m = ring.k, ring.m
-    zero, one = RingElem.zero(ring), RingElem.one(ring)
-    units = (Mat2(one, zero, zero, zero), Mat2(zero, one, zero, zero),
-             Mat2(zero, zero, one, zero), Mat2(zero, zero, zero, one))
-    images = [(t_target * unit * t_source_inv).entries() for unit in units]
+    t, t_inv = t_target.entries(), t_source_inv.entries()
+    images = [[t[2 * x + r] * t_inv[2 * s + y] for x in (0, 1) for y in (0, 1)]
+              for r in (0, 1) for s in (0, 1)]
     den = lcm(*(elem.den for image in images for elem in image))
     scaled = [[(b, elem.nums.items(), den // elem.den) for b, elem in enumerate(image) if elem]
               for image in images]

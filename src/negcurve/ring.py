@@ -22,10 +22,11 @@ constructor (for ``RingElem``, through its integer form).
 Coefficients are stored in one integer form: a common denominator
 den, the lcm of the coefficient denominators, and the integer numerators
 den*coeff of the nonzero terms, with gcd(den, *numerators) == 1.  Every
-operation works on that form in integers.  The common factor is divided
-out by one multi-argument gcd, and only where one can appear: after a
-product, after a sum whose denominators share a factor, and after a
-projection that drops terms (a shift by a power of z drops none).
+operation works on that form in integers, and every operation that
+produces new numerators (a product, a sum, a scaling, a projection)
+ends in ``_normal``, which divides out their common factor by one
+multi-argument gcd.  ``_form`` only wraps numerators that are canonical
+already: the constructors, zero results, negation, shifts and unpickling.
 Fractions are built only when a caller reads ``terms``, ``coeff`` or
 ``canonical_terms``, and are built anew on each read: the integer form
 is the only copy kept.
@@ -247,7 +248,7 @@ class RingElem(_Frozen):
 
     def __mul__(self, other: "RingElem") -> "RingElem":
         # Terms come out in first-occurrence order over the term pairs,
-        # the shorter operand outer.
+        # the shorter operand outer; both paths end in _normal.
         self._check_same(other)
         params = self.params
         a, b, da, db = self.nums, other.nums, self.den, other.den
@@ -260,11 +261,8 @@ class RingElem(_Frozen):
         if len(a) == 1:
             ((l0, i0), n0), = a.items()
             cap = m - i0
-            out = {(l + l0, i + i0): n * n0 for (l, i), n in b.items() if i < cap}
-            # A unit monomial keeps b's canonical numerators unless it drops terms.
-            if da == 1 and (n0 == 1 or n0 == -1) and len(out) == len(b):
-                return _form(params, d, out)
-            return _normal(params, d, out)
+            return _normal(params, d,
+                           {(l + l0, i + i0): n * n0 for (l, i), n in b.items() if i < cap})
         # Keys are encoded as l*m + i, and b's terms are filtered once per
         # u-order cap, so the pair loop neither builds tuples nor tests i.
         acc: dict[int, int] = {}
@@ -286,16 +284,9 @@ class RingElem(_Frozen):
         nums = self.nums
         if not c0 or not nums:
             return _form(self.params, 1, {})
-        # den * q / p and nums / g stay coprime once gcd(p, den) and
-        # g = gcd(q, *nums) are divided out.
-        p, q, den = c0.numerator, c0.denominator, self.den
-        if den != 1:
-            g = gcd(p, den)
-            p, den = p // g, den // g
-        g = gcd(q, *nums.values()) if q != 1 else 1
-        if g != 1 or p != 1:
-            nums = {key: n // g * p for key, n in nums.items()}
-        return _form(self.params, den * (q // g), nums)
+        p = c0.numerator
+        return _normal(self.params, self.den * c0.denominator,
+                       {key: n * p for key, n in nums.items()})
 
     def shift(self, dl: int) -> "RingElem":
         """Multiply by z^dl, a unit: every term moves and none is dropped."""
@@ -305,9 +296,8 @@ class RingElem(_Frozen):
 
     def select(self, pred: Callable[[int, int], bool]) -> "RingElem":
         """The partial sum over monomials with pred(l, i) true."""
-        nums = self.nums
-        return _part(self.params, self.den, nums,
-                     {(l, i): n for (l, i), n in nums.items() if pred(l, i)})
+        return _normal(self.params, self.den,
+                       {(l, i): n for (l, i), n in self.nums.items() if pred(l, i)})
 
     def is_u_regular(self) -> bool:
         return all(l >= 0 for (l, _) in self.nums)
@@ -331,23 +321,16 @@ def _form(params: RingParams, den: int, nums: dict) -> RingElem:
 
 
 def _normal(params: RingParams, den: int, nums: dict) -> RingElem:
-    """An element from nonzero numerators over den, their common factor divided out."""
+    """An element from nonzero numerators over den, their common factor divided out.
+
+    Every operation that produces new numerators ends here.
+    """
     if den != 1:
         g = gcd(den, *nums.values())
         if g != 1:
             den //= g
             nums = {key: n // g for key, n in nums.items()}
     return _form(params, den, nums)
-
-
-def _part(params: RingParams, den: int, whole: dict, kept: dict) -> RingElem:
-    """The terms ``kept`` of the canonical numerators ``whole`` over den.
-
-    Only dropping a term can leave a common factor behind.
-    """
-    if len(kept) < len(whole):
-        return _normal(params, den, kept)
-    return _form(params, den, kept)
 
 
 def _integer_form(terms: Mapping) -> tuple[int, dict]:
@@ -367,18 +350,13 @@ def _integer_form(terms: Mapping) -> tuple[int, dict]:
 def _combine(x: RingElem, y: RingElem, sign: int) -> RingElem:
     """x + sign*y, merged into x's term order, cancellations dropped.
 
-    Over the common denominator d = lcm(dx, dy), a prime of d divides
-    every sum only if it divides both dx and dy, so the gcd is taken
-    only when they share a factor.
+    The numerators are taken over lcm(dx, dy) and end in ``_normal``.
     """
     if not y.nums:
         return x
     dx, dy = x.den, y.den
-    if dx == dy:
-        g, fx, fy = dx, 1, sign
-    else:
-        g = gcd(dx, dy)
-        fx, fy = dy // g, dx // g * sign
+    g = gcd(dx, dy)
+    fx, fy = dy // g, dx // g * sign
     out = dict(x.nums) if fx == 1 else {key: n * fx for key, n in x.nums.items()}
     get = out.get
     for key, n in y.nums.items():
@@ -391,8 +369,7 @@ def _combine(x: RingElem, y: RingElem, sign: int) -> RingElem:
                 out[key] = s
             else:
                 del out[key]
-    d = dx * fx
-    return _normal(x.params, d, out) if g != 1 else _form(x.params, d, out)
+    return _normal(x.params, dx * fx, out)
 
 
 # -- named operations -------------------------------------------------------
@@ -443,15 +420,14 @@ def sector_split(x: RingElem, j: int) -> tuple[RingElem, RingElem, RingElem]:
             prec[(l, i)] = n
         else:
             good[(l, i)] = n
-    params, den, nums = x.params, x.den, x.nums
-    return (_part(params, den, nums, succ), _part(params, den, nums, good),
-            _part(params, den, nums, prec))
+    params, den = x.params, x.den
+    return _normal(params, den, succ), _normal(params, den, good), _normal(params, den, prec)
 
 
 def plus_part(x: RingElem) -> RingElem:
     """The monomials of x with l > k*i (not regular on the second chart)."""
-    k, nums = x.params.k, x.nums
-    return _part(x.params, x.den, nums, {(l, i): n for (l, i), n in nums.items() if l > k * i})
+    k = x.params.k
+    return _normal(x.params, x.den, {(l, i): n for (l, i), n in x.nums.items() if l > k * i})
 
 
 def truncate(x: RingElem, m_new: int) -> RingElem:
@@ -461,8 +437,7 @@ def truncate(x: RingElem, m_new: int) -> RingElem:
     if m_new > x.params.m:
         raise ValueError("cannot refine truncation")
     params = RingParams(x.params.k, m_new)
-    nums = x.nums
-    return _part(params, x.den, nums, {(l, i): n for (l, i), n in nums.items() if i < m_new})
+    return _normal(params, x.den, {(l, i): n for (l, i), n in x.nums.items() if i < m_new})
 
 
 # -- serialization ----------------------------------------------------------

@@ -59,10 +59,11 @@ def cone_check(k: int, m: int) -> dict:
     """Verify the quadric relations among the generators x_a = z^a u.
 
     Checks x_a * x_b - x_{a+1} * x_{b-1} = 0 in the truncated ring for
-    all 0 <= a, a + 2 <= b <= k and reports each relation.
+    all 0 <= a, a + 2 <= b <= k and reports each relation.  At m = 1,
+    u = 0, so every generator is zero and every relation holds.
     """
     params = RingParams(k, m)
-    gens = [RingElem.monomial(params, a, 1) for a in range(k + 1)]
+    gens = [RingElem(params, {(a, 1): 1} if m > 1 else {}) for a in range(k + 1)]
     relations = []
     for a in range(k - 1):
         for b in range(a + 2, k + 1):

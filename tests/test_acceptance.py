@@ -17,7 +17,7 @@ import pytest
 from negcurve.extensions import ExtClass, ModuliParams, basis_W
 from negcurve.groupoid import sample_ext_class, substream, verify_groupoid
 from negcurve.homspaces import brute_force_hom, hom_ext_dims, isom_decide
-from negcurve.ring import RingParams
+from negcurve.ring import RingElem, RingParams
 from negcurve.sections import cone_check, h0_dim, h1_dim
 
 GRID = [(k, j, m) for k in (1, 2, 3) for j in (1, 2, 3) for m in (2, 3, 4)
@@ -194,7 +194,7 @@ def test_criterion_5_dimension_oracle_equivalence():
     ok = True
     detail = ""
     anchor = params_of(1, 2, 3)
-    zero = ExtClass.zero(anchor)
+    zero = ExtClass(anchor, RingElem.zero(anchor.ring))
     profile = hom_ext_dims(zero, zero)
     if profile.dim_hom != 30 or profile.dim_ext1 != 6:
         ok, detail = False, f"anchored instance gave {profile.to_dict()}"
@@ -207,7 +207,8 @@ def test_criterion_5_dimension_oracle_equivalence():
             end_split = 2 * h0_dim(0, ring) + h0_dim(2 * j, ring) + h0_dim(-2 * j, ring)
             ext_split = h1_dim(-2 * j, ring)
             if vec is None:
-                cases = [(ExtClass.zero(params), ExtClass.zero(params))]
+                zero = ExtClass(params, RingElem.zero(ring))
+                cases = [(zero, zero)]
                 rng = substream(SEED + 5, k * 100 + j * 10 + m)
                 cases.append((sample_ext_class(params, rng), sample_ext_class(params, rng)))
                 pp = sample_ext_class(params, rng)

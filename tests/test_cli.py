@@ -129,6 +129,12 @@ def test_cohomology_and_cone_verbs():
     assert cone["all_hold"] is True
 
 
+def test_cone_check_at_level_zero_exits_0():
+    cone = run_json(["cone-check", "--k", "2", "--level", "0"])
+    assert cone == {"k": 2, "m": 1, "relations": [{"a": 0, "b": 2, "holds": True}],
+                    "all_hold": True}
+
+
 def test_output_flag_writes_file(tmp_path):
     target = tmp_path / "basis.json"
     proc = run_cli(["basis", "--k", "1", "--j", "2", "--m", "3",

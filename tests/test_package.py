@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import negcurve
@@ -78,27 +79,56 @@ def referenced_names(path: Path) -> set[str]:
     return names
 
 
+def uncalled_shared_class_methods(sources: list[Path], callers: list[Path]) -> list[str]:
+    """The classmethods and staticmethods whose name two classes define,
+    called neither as ``<Class>.<name>`` in ``callers`` nor as ``cls.<name>``
+    inside their own class."""
+    classes = [(path, node) for path in sources for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)]
+    methods = [(path, cls, item) for path, cls in classes for item in cls.body
+               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    owners = Counter(item.name for _, _, item in methods)
+    called = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, (ast.Name, ast.Attribute)):
+                owner = node.value.id if isinstance(node.value, ast.Name) else node.value.attr
+                called.add((owner, node.attr))
+    uncalled = []
+    for path, cls, item in methods:
+        decorators = {d.id for d in item.decorator_list if isinstance(d, ast.Name)}
+        if owners[item.name] < 2 or not decorators & {"classmethod", "staticmethod"}:
+            continue
+        own = {node.attr for node in ast.walk(cls) if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name) and node.value.id == "cls"}
+        if (cls.name, item.name) not in called and item.name not in own:
+            uncalled.append(f"{path.name}:{item.lineno} {cls.name}.{item.name}")
+    return uncalled
+
+
 def test_every_definition_has_a_caller():
     """No API that nothing calls: each definition in src is referenced in src or perfbench.
 
     The check works by name, not by binding: a definition counts as called
     when its bare name appears anywhere in ``src/negcurve`` or ``perfbench``
-    as a ``Name``, an ``Attribute`` or a whole string constant, so two
-    definitions sharing a name cover each other.  String constants count
-    because the benchmark tracer patches functions and methods by name.
-    Dunders, which the language calls, and the names of ``negcurve.__all__``
-    are exempt; tests are not callers.
+    as a ``Name``, an ``Attribute`` or a whole string constant.  String
+    constants count because the benchmark tracer patches functions and
+    methods by name.  Two definitions sharing a name would cover each
+    other, so a classmethod or staticmethod whose name two classes define
+    counts as called only through its class: ``<Class>.<name>``, or
+    ``cls.<name>`` inside the class.  Dunders, which the language calls,
+    and the names of ``negcurve.__all__`` are exempt; tests are not callers.
     """
     root = Path(__file__).resolve().parent.parent
     sources = sorted((root / "src" / "negcurve").glob("*.py"))
-    referenced = set().union(*(referenced_names(path)
-                               for path in sources + sorted((root / "perfbench").glob("*.py"))))
+    callers = sources + sorted((root / "perfbench").glob("*.py"))
+    referenced = set().union(*(referenced_names(path) for path in callers))
     exempt = set(negcurve.__all__)
     uncalled = [f"{path.name}:{line} {name}" for path in sources
                 for name, line in definitions(path).items()
                 if name not in referenced and name not in exempt
                 and not (name.startswith("__") and name.endswith("__"))]
-    assert uncalled == []
+    assert uncalled + uncalled_shared_class_methods(sources, callers) == []
 
 
 def loaded_modules(code: str) -> set[str]:

@@ -102,6 +102,15 @@ def test_cone_check_up_to_six():
     assert len(cone_check(4, 3)["relations"]) == 6
 
 
+def test_cone_check_at_level_zero():
+    # At m = 1, u = 0: every generator z^a u is zero, so every relation holds.
+    for k in range(1, 5):
+        report = cone_check(k, 1)
+        assert report["all_hold"]
+        assert report["relations"] == [{"a": a, "b": b, "holds": True}
+                                       for a in range(k - 1) for b in range(a + 2, k + 1)]
+
+
 def test_restrict_to_ell_examples():
     params = RingParams(1, 3)
     x = RingElem.constant(params, 3) + RingElem.monomial(params, 1, 1)
