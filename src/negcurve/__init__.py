@@ -14,8 +14,7 @@ from .extensions import (ExtClass, Mat2, ModuliParams, basis_W, reduce_cocycle,
                          restrict_level)
 from .groupoid import (CocyclePair, GroupElem, act, cocycle_matrices, induced_inverse,
                        induced_product, sample_ext_class, sample_group_elem, verify_groupoid)
-from .homspaces import (HomProfile, brute_force_hom, hom_ext_dims, isom_decide, obstruction,
-                        witness_condition)
+from .homspaces import HomProfile, brute_force_hom, hom_ext_dims, isom_decide, obstruction
 
 __all__ = [
     "ConsistencyError", "RingElem", "RingParams", "invert_unit", "plus_part",
@@ -25,7 +24,6 @@ __all__ = [
     "CocyclePair", "GroupElem", "act", "cocycle_matrices", "induced_inverse",
     "induced_product", "sample_ext_class", "sample_group_elem", "verify_groupoid",
     "HomProfile", "brute_force_hom", "hom_ext_dims", "isom_decide", "obstruction",
-    "witness_condition",
 ]
 
 __version__ = "0.1.0"

@@ -39,10 +39,6 @@ def _dump(obj, stream) -> None:
 
 
 def _ring_params(args) -> RingParams:
-    if args.m is None and args.level is None:
-        raise ValueError("one of --m or --level is required")
-    if args.m is not None and args.level is not None:
-        raise ValueError("--m and --level are mutually exclusive")
     if args.m is not None:
         return RingParams(args.k, args.m)
     if args.level < 0:
@@ -177,9 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--k", type=int, required=True)
         if needs_j:
             sp.add_argument("--j", type=int, required=True)
-        sp.add_argument("--m", type=int)
-        sp.add_argument("--level", type=int,
-                        help="neighborhood order n; equivalent to --m n+1")
+        modulus = sp.add_mutually_exclusive_group(required=True)
+        modulus.add_argument("--m", type=int)
+        modulus.add_argument("--level", type=int,
+                             help="neighborhood order n; equivalent to --m n+1")
         sp.add_argument("--output", default=None)
         if payload:
             sp.add_argument("payload", nargs="?", default=None,

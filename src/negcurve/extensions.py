@@ -57,11 +57,6 @@ def basis_W(params: ModuliParams) -> list[tuple[int, int]]:
     return [(i, l) for i in range(1, params.i_cap() + 1) for l in params.band_rows(i)]
 
 
-def class_is_zero(y: RingElem, params: ModuliParams) -> bool:
-    """Whether y is a coboundary: its band sector k*i - j < l < j is empty."""
-    return sector_split(y, params.j)[1].is_zero()
-
-
 class ExtClass(_Frozen):
     """An extension class in normal form: support inside the band, i >= 1."""
 

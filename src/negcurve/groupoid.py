@@ -303,8 +303,6 @@ def _nonzero_rational(rng: random.Random) -> Fraction:
 
 
 def _sparse_terms(basis, rng: random.Random, max_terms: int) -> dict:
-    # Nonzero Fractions on basis exponents, so the samplers build through
-    # RingElem._raw; ExtClass and GroupElem still check the supports.
     count = min(len(basis), rng.randint(0, max_terms))
     return {(l, i): _nonzero_rational(rng) for (l, i) in rng.sample(basis, count)}
 
@@ -312,7 +310,7 @@ def _sparse_terms(basis, rng: random.Random, max_terms: int) -> dict:
 def sample_ext_class(params: ModuliParams, rng: random.Random,
                      max_terms: int = 3) -> ExtClass:
     basis = [(l, i) for (i, l) in basis_W(params)]
-    return ExtClass(params, RingElem._raw(params.ring, _sparse_terms(basis, rng, max_terms)))
+    return ExtClass(params, RingElem(params.ring, _sparse_terms(basis, rng, max_terms)))
 
 
 def sample_group_elem(params: ModuliParams, rng: random.Random,
@@ -327,7 +325,7 @@ def sample_group_elem(params: ModuliParams, rng: random.Random,
     d_terms[(0, 0)] = _nonzero_rational(rng)
     b_terms = _sparse_terms(h0_basis(-2 * j, ring), rng, max_terms)
     c_terms = _sparse_terms(h0_basis(2 * j, ring), rng, max_terms)
-    return GroupElem.from_reps(params, *(RingElem._raw(ring, terms)
+    return GroupElem.from_reps(params, *(RingElem(ring, terms)
                                          for terms in (a_terms, b_terms, c_terms, d_terms)))
 
 

@@ -2,9 +2,9 @@
 
 Two bundles with classes p and p' are isomorphic exactly when some
 automorphism datum (a, d, c) with a(0,0)*d(0,0) != 0 kills the band
-obstruction
+sector of the obstruction, the residual of its canonical cocycle pair
 
-    a*p - d*p' + (z^-j p' c)_V * p - (z^-j c p)_+ * p',
+    B11 p - p' A22 = (a + (z^-j c p')_V) p - p' (d + (z^-j c p)_+),
 
 where (.)_V keeps the second-chart-regular monomials and (.)_+ the
 rest.  On the band the obstruction is minus [d1 | d2] applied to the
@@ -34,38 +34,27 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from . import linalg
-from .extensions import ExtClass, Mat2, ModuliParams, class_is_zero
+from .extensions import ExtClass, Mat2, ModuliParams
 from .groupoid import CocyclePair, GroupElem, act, cech_parts
 from .ring import ConsistencyError, RingElem, _Frozen, _normal
 from .sections import h0_basis, h0_dim, h1_dim
 
 
-def _c_differential(c_rep: RingElem, p: ExtClass, p_target: ExtClass) -> RingElem:
-    """The band contribution of c: (z^-j c p)_+ p' - (z^-j c p')_V p."""
-    j = p.params.j
-    g_plus, _ = cech_parts(c_rep, p.p, j)
-    _, f_v = cech_parts(c_rep, p_target.p, j)
-    return g_plus * p_target.p - f_v * p.p
-
-
 def obstruction(a_rep: RingElem, d_rep: RingElem, c_rep: RingElem,
                 p: ExtClass, p_target: ExtClass) -> RingElem:
-    """The exact gluing obstruction of the datum (a, d, c) from p to p_target."""
-    return a_rep * p.p - d_rep * p_target.p - _c_differential(c_rep, p, p_target)
+    """The gluing residual r = B11 p - p' A22 of the datum (a, d, c) from p
+    to p_target.
 
-
-def witness_condition(g: GroupElem, p: ExtClass, p_target: ExtClass) -> bool:
-    """Whether the datum of g glues E_p to E_{p_target}.
-
-    True exactly when the obstruction class vanishes, which is
-    equivalent to act(g, p) == p_target; the equivalence is asserted.
+    B11 = a + (z^-j c p')_V and A22 = d + (z^-j c p)_+ are the diagonal
+    entries of the canonical cocycle pair, so r is the residual that
+    ``act`` solves for and ``cocycle_matrices`` checks.  The datum glues
+    E_p to E_{p_target} exactly when the band sector of r is empty, that
+    is when act(g, p) == p_target.
     """
-    if g.params != p.params or g.params != p_target.params:
-        raise ValueError("mismatched moduli parameters")
-    ok = class_is_zero(obstruction(g.a.rep, g.d.rep, g.c.rep, p, p_target), p.params)
-    if ok and act(g, p) != p_target:
-        raise ConsistencyError("vanishing obstruction but act(g, p) != target")
-    return ok
+    j = p.params.j
+    _, f_v = cech_parts(c_rep, p_target.p, j)
+    g_plus, _ = cech_parts(c_rep, p.p, j)
+    return (a_rep + f_v) * p.p - p_target.p * (d_rep + g_plus)
 
 
 def _by_order(nums, scale: int, m: int) -> list[dict[int, int]]:
@@ -131,7 +120,7 @@ def build_linear_system(p: ExtClass, p_target: ExtClass) -> list[dict[int, int]]
     The c-columns are read from one running product.  Write
     a(t) = l - k*i for a term t = p_t z^l u^i of p, and b(s) likewise for
     a term s of p'.  For c = z^lc u^ic and theta = j - lc + k*ic,
-    _c_differential(c) is z^(lc-j) u^ic W_theta with
+    -obstruction(0, 0, c) is z^(lc-j) u^ic W_theta with
 
         W_theta = sum_{a(t) > theta} t p' - sum_{b(s) <= theta} s p,
 
@@ -424,6 +413,6 @@ def brute_force_hom(p: ExtClass, p_target: ExtClass,
         for u, x in vec.items():
             e, mono = columns[u]
             entries[e][mono] = x
-        a_mat = Mat2(*(RingElem._raw(ring, terms) for terms in entries))
+        a_mat = Mat2(*(RingElem(ring, terms) for terms in entries))
         pairs.append(CocyclePair(a_mat, t_target * a_mat * t_source_inv))
     return len(basis), pairs

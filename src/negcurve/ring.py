@@ -162,11 +162,6 @@ class RingElem(_Frozen):
                 clean[(l, i)] = c
         super().__init__(params, *_integer_form(clean))
 
-    @classmethod
-    def _raw(cls, params: RingParams, terms: Mapping) -> "RingElem":
-        # Trusted fast path: terms already clean (nonzero Fractions or ints, valid i).
-        return _form(params, *_integer_form(terms))
-
     def __reduce__(self):
         return _form, (self.params, self.den, self.nums)
 

@@ -490,7 +490,7 @@ def full_group_elem(params, rng):
                            for s in (0, -2 * j, 2 * j, 0)))
 
 
-@pytest.mark.parametrize("k,j,m", GRID)
+@pytest.mark.parametrize("k,j,m", GRID + [(1, 4, 6), (1, 6, 8), (2, 8, 10)])
 def test_groupoid_laws_hold_at_a_generic_point(monkeypatch, k, j, m):
     """Every law family of ``_check_sample`` on one full-support sample.
 
@@ -519,9 +519,9 @@ def test_groupoid_laws_hold_at_a_generic_point(monkeypatch, k, j, m):
       side of an element's edge that holds its target fixes the exponent
       of each of its units to within nu of a constant in {-1, 0, 1}.
     Clearing denominators thus adds at most nu + 2m - 1 per unit, and
-    deg(Q) <= nu + 6(nu + 2m - 1) <= 13(2m - 1): 91 on this grid
-    (m <= 4), so a false law passes one sample with probability at most
-    91/2^41 < 5e-11.
+    deg(Q) <= nu + 6(nu + 2m - 1) <= 13(2m - 1): 247 at the largest m
+    here (m = 10), so a false law passes one sample with probability at
+    most 247/2^41 < 1.2e-10.
     """
     monkeypatch.setattr(groupoid, "sample_ext_class", full_ext_class)
     monkeypatch.setattr(groupoid, "sample_group_elem", full_group_elem)

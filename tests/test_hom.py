@@ -1,4 +1,4 @@
-"""Isomorphism decision, witness condition, and Hom/Ext dimensions."""
+"""The gluing obstruction, the isomorphism decision, and Hom/Ext dimensions."""
 
 from fractions import Fraction
 from itertools import chain
@@ -8,12 +8,11 @@ import pytest
 
 from negcurve import linalg
 from negcurve.extensions import ExtClass, Mat2, ModuliParams, basis_W
-from negcurve.groupoid import (CocyclePair, GroupElem, act, sample_ext_class,
+from negcurve.groupoid import (CocyclePair, GroupElem, act, cocycle_matrices, sample_ext_class,
                                sample_group_elem, substream)
-from negcurve.homspaces import (_c_differential, brute_force_hom, build_linear_system,
-                                default_degree_bound, hom_ext_dims, isom_decide, obstruction,
-                                spectral_differentials, witness_condition)
-from negcurve.ring import RingElem, RingParams
+from negcurve.homspaces import (brute_force_hom, build_linear_system, default_degree_bound,
+                                hom_ext_dims, isom_decide, obstruction, spectral_differentials)
+from negcurve.ring import RingElem, RingParams, sector_split
 from negcurve.sections import h0_basis, h0_dim, h1_dim
 from test_acceptance import GRID
 from test_linalg import integer_rows
@@ -43,23 +42,33 @@ def diagonal(params, lam, mu):
                                RingElem.zero(ring), RingElem.constant(ring, mu))
 
 
-# -- witness condition ---------------------------------------------------------
+# -- the gluing obstruction ----------------------------------------------------
+
+def glues(g, p, q):
+    """Whether the band sector of g's obstruction from p to q is empty.
+
+    That is the paper's gluing test; it must agree with act(g, p) == q.
+    """
+    band = sector_split(obstruction(g.a.rep, g.d.rep, g.c.rep, p, q), p.params.j)[1]
+    assert band.is_zero() == (act(g, p) == q)
+    return band.is_zero()
+
 
 def test_witness_identity_and_scaling():
     p = ec([1, 2, 5])
     e = GroupElem.identity(MP)
-    assert witness_condition(e, p, p)
+    assert glues(e, p, p)
     g = diagonal(MP, 3, 1)
-    assert witness_condition(g, p, ec([3, 6, 15]))
-    assert not witness_condition(g, p, ec([3, 6, 0]))
+    assert glues(g, p, ec([3, 6, 15]))
+    assert not glues(g, p, ec([3, 6, 0]))
 
 
 def test_witness_lower_triangular_example():
     ring = MP.ring
     g = GroupElem.from_reps(MP, RingElem.one(ring), RingElem.zero(ring),
                             RingElem.monomial(ring, 1, 0), RingElem.one(ring))
-    assert witness_condition(g, ec([0, 1, 0]), ec([0, 1, 1]))
-    assert not witness_condition(g, ec([0, 1, 0]), ec([0, 1, 0]))
+    assert glues(g, ec([0, 1, 0]), ec([0, 1, 1]))
+    assert not glues(g, ec([0, 1, 0]), ec([0, 1, 0]))
 
 
 def test_witness_agrees_with_action_sampled():
@@ -69,7 +78,32 @@ def test_witness_agrees_with_action_sampled():
             rng = substream(808, idx)
             g = sample_group_elem(params, rng)
             p = sample_ext_class(params, rng)
-            assert witness_condition(g, p, act(g, p))
+            assert glues(g, p, act(g, p))
+
+
+@pytest.mark.parametrize("density", ["sparse", "full"])
+def test_obstruction_is_the_pair_residual(density):
+    # On the criterion-5 grid: with q = act(g, p), obstruction is the
+    # residual B11 p - q A22 of the canonical pair, and its band is empty
+    # exactly for the glued target, not for an unrelated one.
+    unglued = 0
+    for (k, j, m) in GRID:
+        params = params_of(k, j, m)
+        for idx in range(3):
+            rng = substream(2525, 100 * k + 10 * j + m + 1000 * idx)
+            if density == "full":
+                g = sample_group_elem(params, rng, max_terms=10 ** 6)
+                p, other = full_class(params, rng), full_class(params, rng)
+            else:
+                g = sample_group_elem(params, rng)
+                p, other = sample_ext_class(params, rng), sample_ext_class(params, rng)
+            q = act(g, p)
+            pair = cocycle_matrices(g, p)
+            assert obstruction(g.a.rep, g.d.rep, g.c.rep, p, q) == \
+                pair.B.a11 * p.p - q.p * pair.A.a22
+            assert glues(g, p, q)
+            unglued += not glues(g, p, other)
+    assert unglued >= len(GRID)
 
 
 # -- isomorphism decision --------------------------------------------------------
@@ -296,17 +330,18 @@ def test_linear_system_is_minus_the_band_obstruction():
 
 def reference_build_linear_system(p: ExtClass, p_target: ExtClass) -> list[dict[int, Fraction]]:
     """Verbatim copy of the per-unknown builder, two full products per
-    c-unknown through _c_differential.  The running-product builder must
-    match it in every value and in the key order of every row.
+    c-unknown through -obstruction(0, 0, c).  The running-product builder
+    must match it in every value and in the key order of every row.
     """
     if p.params != p_target.params:
         raise ValueError("mismatched moduli parameters")
     ring = p.params.ring
+    zero = RingElem.zero(ring)
     band_index = {li: r for r, li in enumerate(ext1_band(p.params))}
     # Each image is made when its unknown is read, so none outlives its row entries.
     images = chain((-(p.p * RingElem.monomial(ring, l, i)) for (l, i) in h0_basis(0, ring)),
                    (p_target.p * RingElem.monomial(ring, l, i) for (l, i) in h0_basis(0, ring)),
-                   (_c_differential(RingElem.monomial(ring, l, i), p, p_target)
+                   (-obstruction(zero, zero, RingElem.monomial(ring, l, i), p, p_target)
                     for (l, i) in h0_basis(2 * p.params.j, ring)))
     rows: list[dict[int, Fraction]] = [{} for _ in band_index]
     for unknown, elem in enumerate(images):

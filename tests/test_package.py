@@ -17,12 +17,11 @@ PUBLIC = {
     "CocyclePair", "GroupElem", "act", "cocycle_matrices", "induced_inverse",
     "induced_product", "sample_ext_class", "sample_group_elem", "verify_groupoid",
     "HomProfile", "brute_force_hom", "hom_ext_dims", "isom_decide", "obstruction",
-    "witness_condition",
 }
 
 
 def test_all_is_exactly_the_public_names():
-    assert len(PUBLIC) == 33
+    assert len(PUBLIC) == 32
     assert len(negcurve.__all__) == len(PUBLIC)
     assert set(negcurve.__all__) == PUBLIC
     for name in negcurve.__all__:

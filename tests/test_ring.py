@@ -132,8 +132,8 @@ def test_binomial_product():
 
 # -- the integer product kernel against the Fraction reference ----------------
 
-# Verbatim copy of the per-term-pair Fraction product that the integer
-# kernel replaced; kept only as the reference the kernel must match.
+# The per-term-pair Fraction product that the integer kernel replaced;
+# kept only as the reference the kernel must match.
 
 
 def _reference_shifted(terms, dl, di, c0, m):
@@ -155,10 +155,10 @@ def _reference_mul(self, other):
     if len(a) > len(b):
         a, b = b, a
     if not a:
-        return RingElem._raw(self.params, {})
+        return RingElem(self.params, {})
     if len(a) == 1:
         ((l0, i0), c0), = a.items()
-        return RingElem._raw(self.params, _reference_shifted(b, l0, i0, c0, self.params.m))
+        return RingElem(self.params, _reference_shifted(b, l0, i0, c0, self.params.m))
     m = self.params.m
     acc = {}
     for (l1, i1), c1 in a.items():
@@ -169,7 +169,7 @@ def _reference_mul(self, other):
             key = (l1 + l2, i)
             s = acc.get(key)
             acc[key] = c1 * c2 if s is None else s + c1 * c2
-    return RingElem._raw(self.params, {key: c for key, c in acc.items() if c})
+    return RingElem(self.params, {key: c for key, c in acc.items() if c})
 
 
 def assert_matches_reference(x, y):
