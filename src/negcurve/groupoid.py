@@ -163,6 +163,20 @@ def act(g: GroupElem, p: ExtClass) -> ExtClass:
     return ExtClass(params, sol)
 
 
+def _residual(a_rep: RingElem, c_rep: RingElem, d_rep: RingElem, p: ExtClass,
+              target: ExtClass) -> tuple:
+    """The Cech splits (plus, v) of z^-j c p' and of z^-j c p, then
+    B11 = a + (z^-j c p')_V, A22 = d + (z^-j c p)_+ and the residual
+    r = B11 p - p' A22 of the canonical pair of (a, b; c, d) from p to
+    target = p'.
+    """
+    j = p.params.j
+    f_split = cech_parts(c_rep, target.p, j)
+    g_split = cech_parts(c_rep, p.p, j)
+    b11, a22 = a_rep + f_split[1], d_rep + g_split[0]
+    return f_split, g_split, b11, a22, b11 * p.p - target.p * a22
+
+
 def _pair_core(g: Mat2, p: ExtClass, target: ExtClass) -> tuple[RingElem, ...]:
     """A11, A12, A22 and B11 of the canonical pair of g = (a, b; c, d) from
     p to target = g.p, then the pieces g_V and prec of B22 and B12.
@@ -173,11 +187,8 @@ def _pair_core(g: Mat2, p: ExtClass, target: ExtClass) -> tuple[RingElem, ...]:
     """
     j = p.params.j
     a_rep, b_rep, c_rep, d_rep = g.entries()
-    f_plus, f_v = cech_parts(c_rep, target.p, j)
-    g_plus, g_v = cech_parts(c_rep, p.p, j)
-    b11 = a_rep + f_v
-    a22 = d_rep + g_plus
-    succ, good, prec = sector_split(b11 * p.p - target.p * a22, j)
+    (f_plus, _), (_, g_v), b11, a22, residual = _residual(a_rep, c_rep, d_rep, p, target)
+    succ, good, prec = sector_split(residual, j)
     if not good.is_zero():
         raise ConsistencyError("cocycle target does not match the action")
     return a_rep - f_plus, b_rep + succ.shift(-j), a22, b11, g_v, prec

@@ -13,10 +13,12 @@ d2(c) that of (z^-j c p)_+ p' - (z^-j c p')_V p.  ``build_linear_system``
 builds this matrix once in integers, times den(p) den(p'), one sparse
 row per band monomial, its c-columns from one running integer product:
 at most 3 |p| |p'| term products, in memory bounded by the support of
-p p'.  Both consumers read the echelon rows of that matrix and nothing
-more.  The isomorphism decision reduces the unit rows of a(0,0) and
-d(0,0) against them and finds a witness by one back-substitution, in
-integers over one common denominator.  Hom(E_p, E_p') is counted by a
+p p'.  Its unknowns are numbered by decreasing u-order within each
+block, so elimination meets the sparse columns first.  Both consumers
+read the echelon rows of that matrix and nothing more.  The isomorphism
+decision reduces the unit rows of a(0,0) and d(0,0) against them and
+finds a witness by one back-substitution, in integers over one common
+denominator.  Hom(E_p, E_p') is counted by a
 two-step filtration: ker d1, then the c whose d2-image lies in the
 image of d1, of codimension rank [d1 | d2] - rank d1; the pivot columns
 give both ranks.
@@ -25,7 +27,7 @@ cross-checks every dimension; its system is read from
 B = T(p') A T(p)^-1, one image T(p') E T(p)^-1 per unit matrix E, in
 integers, and built once for both of its degree bounds: the degree
 system is a column prefix.  Its basis pairs are read from the sparse
-nullspace vectors.
+nullspace vectors, each B formed from A entry by entry.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from operator import itemgetter
 
 from . import linalg
 from .extensions import ExtClass, Mat2, ModuliParams
-from .groupoid import CocyclePair, GroupElem, act, cech_parts
+from .groupoid import CocyclePair, GroupElem, _residual, act
 from .ring import ConsistencyError, RingElem, _Frozen, _normal
 from .sections import h0_basis, h0_dim, h1_dim
 
@@ -51,10 +53,7 @@ def obstruction(a_rep: RingElem, d_rep: RingElem, c_rep: RingElem,
     E_p to E_{p_target} exactly when the band sector of r is empty, that
     is when act(g, p) == p_target.
     """
-    j = p.params.j
-    _, f_v = cech_parts(c_rep, p_target.p, j)
-    g_plus, _ = cech_parts(c_rep, p.p, j)
-    return (a_rep + f_v) * p.p - p_target.p * (d_rep + g_plus)
+    return _residual(a_rep, c_rep, d_rep, p, p_target)[-1]
 
 
 def _by_order(nums, scale: int, m: int) -> list[dict[int, int]]:
@@ -106,14 +105,31 @@ def _add_term_product(w: list[dict[int, int]], key: tuple[int, int], n: int,
             wi[l] = wi.get(l, 0) + n * n2
 
 
+def _band_layout(params: ModuliParams) -> tuple[list, list]:
+    """The monomials of the a- and d-blocks, and of the c-block, of
+    ``build_linear_system``, each in column order.
+
+    They are h0_basis(0) and h0_basis(2j), each by decreasing u-order
+    (increasing l within one).  An unknown of u-order i meets only band
+    rows of u-order above i, since p and p' have no i = 0 terms, so the
+    high-order columns are the sparse ones, and ``echelon``, which pivots
+    on the smallest column, takes them first: the column half of a
+    Markowitz order (Markowitz, Management Science 3, 1957).  The a- and
+    d-blocks stay a prefix, so rank d1 is still read from the pivots.
+    """
+    ring = params.ring
+    return tuple(sorted(h0_basis(s, ring), key=lambda mono: -mono[1]) for s in (0, 2 * params.j))
+
+
 def build_linear_system(p: ExtClass, p_target: ExtClass) -> list[dict[int, int]]:
     """The band rows of [d1 | d2] times D = den(p) den(p'), in integers.
 
     Each row is a sparse map unknown -> nonzero integer, the rational row
     times D; one row per band monomial z^l u^i, k*i - j < l < j, in (i, l)
-    order over 0 <= i < m.  The unknowns are the a-basis, the d-basis
-    (both h0_basis(0)), then the c-basis (h0_basis(2j)), in order, and
-    each row holds its unknowns in that order.  The a- and d-columns are
+    order over 0 <= i < m.  The unknowns are the a-block, the d-block
+    (both h0_basis(0)), then the c-block (h0_basis(2j)), each block in
+    the order of ``_band_layout``, and each row holds its unknowns in
+    increasing column order.  The a- and d-columns are
     band lookups of the shifts -z^l u^i p and z^l u^i p', read from nums
     as -den(p') nums(p) and den(p) nums(p').
 
@@ -141,7 +157,7 @@ def build_linear_system(p: ExtClass, p_target: ExtClass) -> list[dict[int, int]]
         ls = params.band_rows(i)
         band.append((first, ls))
         first += len(ls)
-    basis0, basis_c = h0_basis(0, ring), h0_basis(2 * j, ring)
+    basis0, basis_c = _band_layout(params)
     minus_p = _by_order(p.p.nums, -p_target.p.den, m)
     target = _by_order(p_target.p.nums, p.p.den, m)
     columns = [_band_entries(band, terms, l, i)
@@ -175,8 +191,9 @@ def build_linear_system(p: ExtClass, p_target: ExtClass) -> list[dict[int, int]]
 def isom_decide(p: ExtClass, p_target: ExtClass) -> GroupElem | None:
     """An explicit gluing isomorphism from E_p to E_{p_target}, or None.
 
-    Solves the band obstruction for (a, d, c), then looks for a solution
-    with a(0,0)*d(0,0) != 0.  Over the rationals such a solution exists
+    Solves the band obstruction for (a, d, c), in the column order of
+    ``build_linear_system``, then looks for a solution with
+    a(0,0)*d(0,0) != 0.  Over the rationals such a solution exists
     unless one of the two coordinate functionals vanishes on the whole
     solution space, so finitely many combinations of nullspace basis
     vectors settle it.  Everything is read from the echelon rows, with no
@@ -187,23 +204,25 @@ def isom_decide(p: ExtClass, p_target: ExtClass) -> GroupElem | None:
     The combination with weight w_f on free column f is the kernel
     vector with those free coordinates; it is found by one
     back-substitution through the echelon rows, highest pivot first, in
-    integers over one common denominator.  A found witness (with b = 0)
-    is verified by applying the action before it is returned.
+    integers over one common denominator.  So the witness is the kernel
+    vector whose free coordinates, in that column order, are the chosen
+    weights.  A found witness (with b = 0) is verified by applying the
+    action before it is returned.
     """
     params = p.params
     ring = params.ring
-    basis0 = h0_basis(0, ring)
-    basis_c = h0_basis(2 * params.j, ring)
+    basis0, basis_c = _band_layout(params)
     n0 = len(basis0)
     ncols = 2 * n0 + len(basis_c)
     pivots = linalg.echelon(build_linear_system(p, p_target))
     order = sorted(pivots)
     free_cols = [c for c in range(ncols) if c not in pivots]
-    # h0_basis(0) starts at (0, 0), so a(0,0) and d(0,0) are the first
-    # a- and d-unknowns.  Clearing pivot column c adds only columns
-    # above c, so one pass in increasing order clears every pivot column.
+    # (0, 0) is the last monomial of u-order 0, so a(0,0) and d(0,0) are
+    # the last a- and d-unknowns.  Clearing pivot column c adds only
+    # columns above c, so one pass in increasing order clears every
+    # pivot column.
     residuals = []
-    for idx in (0, n0):
+    for idx in (n0 - 1, 2 * n0 - 1):
         red = {idx: 1}
         for c in order:
             if c in red:
@@ -361,7 +380,11 @@ def brute_force_hom(p: ExtClass, p_target: ExtClass,
     unknown alone, so dropping the other columns (and the rows left
     empty) gives exactly the system built for degree.  Each basis pair's
     A holds the nonzero entries of one sparse nullspace vector, and its B
-    is T(p') A T(p)^-1, the same product the solver's system is read from.
+    is T(p') A T(p)^-1 in four ring products: with T(p) = (z^j, p; 0, z^-j),
+    B11 = A11 + z^-j p' A21, B21 = z^-2j A21, B22 = A22 - z^-j A21 p and
+    B12 = z^2j A12 + z^j p' A22 - (z^j A11 + p' A21) p.  The columns keep
+    the (entry, u-order, l) order, since the free columns, and so the
+    basis pairs, follow the column order.
 
     Every entry of A of every pair lies in z-degrees <= D = k(m-1) + 2j,
     so any degree >= D gives all of Hom.  Solve B = T(p') A T(p)^-1 for
@@ -407,12 +430,17 @@ def brute_force_hom(p: ExtClass, p_target: ExtClass,
     if len(basis) != len(linalg.nullspace(rows_next, len(columns))):
         raise ValueError("degree bound too small")
 
+    j, p_src, p_dst = params.j, p.p, p_target.p
     pairs = []
     for vec in basis:
         entries: list[dict] = [{}, {}, {}, {}]
         for u, x in vec.items():
             e, mono = columns[u]
             entries[e][mono] = x
-        a_mat = Mat2(*(RingElem(ring, terms) for terms in entries))
-        pairs.append(CocyclePair(a_mat, t_target * a_mat * t_source_inv))
+        a11, a12, a21, a22 = (RingElem(ring, terms) for terms in entries)
+        qa21 = p_dst * a21
+        b_mat = Mat2(a11 + qa21.shift(-j),
+                     (a12.shift(j) + p_dst * a22).shift(j) - (a11.shift(j) + qa21) * p_src,
+                     a21.shift(-2 * j), a22 - (a21 * p_src).shift(-j))
+        pairs.append(CocyclePair(Mat2(a11, a12, a21, a22), b_mat))
     return len(basis), pairs

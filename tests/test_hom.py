@@ -1,17 +1,18 @@
 """The gluing obstruction, the isomorphism decision, and Hom/Ext dimensions."""
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import comb
 
 import pytest
 
 from negcurve import linalg
 from negcurve.extensions import ExtClass, Mat2, ModuliParams, basis_W
-from negcurve.groupoid import (CocyclePair, GroupElem, act, cocycle_matrices, sample_ext_class,
-                               sample_group_elem, substream)
-from negcurve.homspaces import (brute_force_hom, build_linear_system, default_degree_bound,
-                                hom_ext_dims, isom_decide, obstruction, spectral_differentials)
+from negcurve.groupoid import (CocyclePair, GroupElem, act, cocycle_matrices, induced_product,
+                               sample_ext_class, sample_group_elem, substream)
+from negcurve.homspaces import (_band_layout, brute_force_hom, build_linear_system,
+                                default_degree_bound, hom_ext_dims, isom_decide, obstruction,
+                                spectral_differentials)
 from negcurve.ring import RingElem, RingParams, sector_split
 from negcurve.sections import h0_basis, h0_dim, h1_dim
 from test_acceptance import GRID
@@ -33,6 +34,13 @@ def ext1_band(params):
     """The band monomials (i, l) over all u-orders, i = 0 included: the
     row order of build_linear_system."""
     return [(i, l) for i in range(params.m) for l in params.band_rows(i)]
+
+
+def unit_columns(params):
+    """The columns of a(0,0) and d(0,0) in build_linear_system's layout."""
+    basis0, _ = _band_layout(params)
+    a00 = basis0.index((0, 0))
+    return a00, len(basis0) + a00
 
 
 def diagonal(params, lam, mu):
@@ -177,8 +185,8 @@ def reference_witness(p, q):
     nullspace vector is combined.  Returns (t, combined vector) or None.
     """
     ring = p.params.ring
-    n0 = h0_dim(0, ring)
-    ncols = 2 * n0 + h0_dim(2 * p.params.j, ring)
+    ncols = 2 * h0_dim(0, ring) + h0_dim(2 * p.params.j, ring)
+    a00, d00 = unit_columns(p.params)
     basis = dense(linalg.nullspace(build_linear_system(p, q), ncols), ncols)
     for t in range(2 * len(basis) + 1):
         cand = [Fraction(0)] * ncols
@@ -189,7 +197,7 @@ def reference_witness(p, q):
                     if bv[c]:
                         cand[c] += scale * bv[c]
             scale *= t
-        if cand[0] and cand[n0]:
+        if cand[a00] and cand[d00]:
             return t, cand
     return None
 
@@ -204,10 +212,9 @@ def forced_or_reference_witness(p, q):
     the search runs as written.
     """
     ring = p.params.ring
-    n0 = h0_dim(0, ring)
-    ncols = 2 * n0 + h0_dim(2 * p.params.j, ring)
+    ncols = 2 * h0_dim(0, ring) + h0_dim(2 * p.params.j, ring)
     basis = dense(linalg.nullspace(build_linear_system(p, q), ncols), ncols)
-    if any(all(not vec[idx] for vec in basis) for idx in (0, n0)):
+    if any(all(not vec[idx] for vec in basis) for idx in unit_columns(p.params)):
         return None
     return reference_witness(p, q)
 
@@ -266,10 +273,10 @@ def test_isom_witness_matches_reference_search():
     t_used, columns, verdicts = set(), set(), []
     for (params, p, q), reference in zip(cases, search):
         ring = params.ring
-        basis0, basis_c = h0_basis(0, ring), h0_basis(2 * params.j, ring)
+        basis0, basis_c = _band_layout(params)
         n0 = len(basis0)
         pivots = linalg.echelon(build_linear_system(p, q))
-        columns.add((0 in pivots, n0 in pivots))
+        columns.add(tuple(idx in pivots for idx in unit_columns(params)))
         found = reference(p, q)
         w = isom_decide(p, q)
         verdicts.append(w is not None)
@@ -299,8 +306,9 @@ def test_linear_system_layout():
     assert all(v != 0 for row in rows for v in row.values())
     assert all(list(row) == sorted(row) for row in rows)
     # The a(0,0) column is the band class of -p, the d(0,0) column that of p.
-    assert [row.get(0) for row in rows] == [-1 if il == (1, 0) else None for il in band]
-    assert [row.get(6) for row in rows] == [1 if il == (1, 0) else None for il in band]
+    a00, d00 = unit_columns(MP)
+    assert [row.get(a00) for row in rows] == [-1 if il == (1, 0) else None for il in band]
+    assert [row.get(d00) for row in rows] == [1 if il == (1, 0) else None for il in band]
 
 
 def test_linear_system_is_minus_the_band_obstruction():
@@ -310,7 +318,7 @@ def test_linear_system_is_minus_the_band_obstruction():
     for (k, j, m) in [(1, 2, 3), (1, 3, 4), (2, 4, 3)]:
         params = params_of(k, j, m)
         ring = params.ring
-        basis0, basis_c = h0_basis(0, ring), h0_basis(2 * j, ring)
+        basis0, basis_c = _band_layout(params)
         for idx in range(4):
             rng = substream(5150, 100 * k + 10 * j + m + 1000 * idx)
             p = sample_ext_class(params, rng, max_terms=1 + 4 * idx)
@@ -338,11 +346,12 @@ def reference_build_linear_system(p: ExtClass, p_target: ExtClass) -> list[dict[
     ring = p.params.ring
     zero = RingElem.zero(ring)
     band_index = {li: r for r, li in enumerate(ext1_band(p.params))}
+    basis0, basis_c = _band_layout(p.params)
     # Each image is made when its unknown is read, so none outlives its row entries.
-    images = chain((-(p.p * RingElem.monomial(ring, l, i)) for (l, i) in h0_basis(0, ring)),
-                   (p_target.p * RingElem.monomial(ring, l, i) for (l, i) in h0_basis(0, ring)),
+    images = chain((-(p.p * RingElem.monomial(ring, l, i)) for (l, i) in basis0),
+                   (p_target.p * RingElem.monomial(ring, l, i) for (l, i) in basis0),
                    (-obstruction(zero, zero, RingElem.monomial(ring, l, i), p, p_target)
-                    for (l, i) in h0_basis(2 * p.params.j, ring)))
+                    for (l, i) in basis_c))
     rows: list[dict[int, Fraction]] = [{} for _ in band_index]
     for unknown, elem in enumerate(images):
         for (l, i), coeff in elem.terms.items():
@@ -395,10 +404,10 @@ def test_differentials_vanish_for_split_bundles():
 def test_identity_endomorphism_in_kernel():
     p = ec([1, 2, 5])
     rows = build_linear_system(p, p)
-    n0 = h0_dim(0, MP.ring)
+    a00, d00 = unit_columns(MP)
     # the pair (a, d) = (1, 1) maps to the class of p - p = 0
-    assert any(0 in row for row in rows)
-    assert all(row.get(0, 0) + row.get(n0, 0) == 0 for row in rows)
+    assert any(a00 in row for row in rows)
+    assert all(row.get(a00, 0) + row.get(d00, 0) == 0 for row in rows)
 
 
 def reference_spectral_differentials(p, q):
@@ -590,6 +599,51 @@ def test_isom_verdicts_match_brute_force_determinant():
             assert decided == brute_force_isomorphic(p, q), (k, j, m, p, q)
             verdicts.append(decided)
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 15
+
+
+# Isomorphism classes of the classes with coefficients in {-1, 0, 1}:
+# (k, j, m) -> (class count, whether brute_force_isomorphic is checked).
+# The brute-force check runs on two grids only, to keep the test near 4 s.
+UNIT_GRIDS = {(1, 2, 3): (6, True), (2, 3, 4): (15, False), (3, 3, 4): (5, True)}
+
+
+@pytest.mark.parametrize("kjm", sorted(UNIT_GRIDS))
+def test_isom_classes_partition_the_unit_grid(kjm):
+    count, cross_check = UNIT_GRIDS[kjm]
+    params = params_of(*kjm)
+    width = len(basis_W(params))
+    grid = [ec(list(vec), params) for vec in product((-1, 0, 1), repeat=width)]
+    witness = {(s, t): isom_decide(p, q) for s, p in enumerate(grid) for t, q in enumerate(grid)}
+    related = [frozenset(t for t in range(len(grid)) if witness[s, t] is not None)
+               for s in range(len(grid))]
+    # Reflexive and symmetric, and each class is the related set of each of
+    # its members: the verdicts are an equivalence relation.
+    assert all(s in related[s] for s in range(len(grid)))
+    assert all(s in related[t] for s in range(len(grid)) for t in related[s])
+    assert all(related[t] == related[s] for s in range(len(grid)) for t in related[s])
+    classes = sorted(set(related), key=min)
+    assert len(classes) == count
+    for members in classes:
+        first, *rest = sorted(members)
+        p = grid[first]
+        dim_end = hom_ext_dims(p, p).dim_hom
+        # Witnesses compose through the base-point product: from p to q,
+        # then from q to r, is one witness from p to r.
+        for q_idx, r_idx in zip([first] + rest, rest):
+            w_pq, w_qr = witness[first, q_idx], witness[q_idx, r_idx]
+            assert act(induced_product(w_qr, w_pq, p), p) == grid[r_idx]
+        for t in rest:
+            assert hom_ext_dims(grid[t], grid[t]).dim_hom == dim_end
+            assert hom_ext_dims(p, grid[t]).dim_hom == dim_end
+    if cross_check:
+        # Brute force agrees on every pair of class representatives and on
+        # each member against its representative; it decides an
+        # equivalence too, so it then gives the same partition.
+        firsts = [min(members) for members in classes]
+        checked = [(s, t) for s in firsts for t in firsts]
+        checked += [(min(related[t]), t) for t in range(len(grid)) if t not in firsts]
+        for s, t in checked:
+            assert brute_force_isomorphic(grid[s], grid[t]) == (witness[s, t] is not None)
 
 
 def reference_hom_space(p, p_target, degree):

@@ -14,8 +14,9 @@ from negcurve.extensions import ExtClass, Mat2, ModuliParams, basis_W
 from negcurve.groupoid import (CocyclePair, GroupElem, act, cocycle_matrices, sample_ext_class,
                                sample_group_elem)
 from negcurve.homspaces import HomProfile, hom_ext_dims
-from negcurve.ring import (ConsistencyError, RingElem, RingParams, _as_fraction, elem_from_dict,
-                           elem_to_dict, invert_unit, plus_part, sector_split, truncate)
+from negcurve.ring import (_PACK_PAIRS, ConsistencyError, RingElem, RingParams, _as_fraction,
+                           elem_from_dict, elem_to_dict, invert_unit, plus_part, sector_split,
+                           truncate)
 from negcurve.sections import TwistedSection
 
 
@@ -172,9 +173,26 @@ def _reference_mul(self, other):
     return RingElem(self.params, {key: c for key, c in acc.items() if c})
 
 
+def packs(x, y):
+    """Whether x * y takes the packed path: two or more terms each, at
+    least _PACK_PAIRS term pairs, and m times the product's z-span no
+    more than the pairs."""
+    a, b = x.nums, y.nums
+    if min(len(a), len(b)) < 2 or len(a) * len(b) < _PACK_PAIRS:
+        return False
+    span = max(a)[0] - min(a)[0] + max(b)[0] - min(b)[0] + 1
+    return span * x.params.m <= len(a) * len(b)
+
+
 def assert_matches_reference(x, y):
+    """x * y equals the reference exactly, its terms in the order of its
+    path: increasing (i, l) when packed, else the reference's
+    first-occurrence order."""
     got = list((x * y).terms.items())
-    assert got == list(_reference_mul(x, y).terms.items())
+    expected = list(_reference_mul(x, y).terms.items())
+    if packs(x, y):
+        expected.sort(key=lambda term: (term[0][1], term[0][0]))
+    assert got == expected
     assert all(type(c) is Fraction and c for _, c in got)
 
 
@@ -233,14 +251,98 @@ def test_product_kernel_drops_exact_cancellations():
 
 
 def test_product_kernel_dense_group_element_times_full_class():
+    # Every product but those of b, which is zero at j = 6, packs, so its
+    # terms come in (i, l) order.
     params = ModuliParams(RingParams(1, 8), 6)
     rng = random.Random(4608)
     p = sample_ext_class(params, rng, max_terms=10 ** 6)
     g = sample_group_elem(params, rng, max_terms=10 ** 6)
     assert len(p.p.terms) == len(basis_W(params))
     for entry in (g.a.rep, g.b.rep, g.c.rep, g.d.rep):
-        assert_matches_reference(entry, p.p)
-        assert_matches_reference(entry, entry)
+        for x, y in ((entry, p.p), (entry, entry)):
+            assert packs(x, y) == (entry is not g.b.rep)
+            assert_matches_reference(x, y)
+
+
+def exact_elem(rng, params, nterms, max_den, l_range, orders=None):
+    """An element with exactly nterms terms, z-exponents in l_range and
+    u-orders in orders, coefficients of both signs over denominators up
+    to max_den."""
+    orders = range(params.m) if orders is None else orders
+    keys = rng.sample([(l, i) for l in range(l_range[0], l_range[1] + 1) for i in orders], nterms)
+    return RingElem(params, {key: Fraction(rng.choice((-1, 1)) * rng.randint(1, max_den),
+                                           rng.randint(1, max_den)) for key in keys})
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_packed_products_at_and_below_the_cutoff_match_the_reference(seed):
+    # Term counts just at and above _PACK_PAIRS pairs (8 * 16, 9 * 16,
+    # 12 * 20) and just below it (9 * 14, 7 * 18), z-exponents near
+    # +-10^12 or near 0, denominators up to 10^6, and u-orders whose sums
+    # fall on both sides of the cut-off i1 + i2 == m.
+    rng = random.Random(seed)
+    params = RingParams(rng.randint(1, 3), rng.randint(4, 6))
+    for sizes, packed in (((8, 16), True), ((9, 16), True), ((12, 20), True),
+                          ((9, 14), False), ((7, 18), False)):
+        ranges = [rng.choice(((-10 ** 12, -10 ** 12 + 7), (10 ** 12 - 7, 10 ** 12), (-4, 3)))
+                  for _ in sizes]
+        x, y = (exact_elem(rng, params, n, rng.choice((1, 7, 10 ** 6)), l_range)
+                for n, l_range in zip(sizes, ranges))
+        assert packs(x, y) == packs(y, x) == packed
+        assert_matches_reference(x, y)
+        assert_matches_reference(y, x)
+
+
+def test_packed_products_cancel_exactly():
+    params = RingParams(2, 5)
+    rng = random.Random(12)
+    # (A + B)(A - B) = A^2 - B^2: A on even and B on odd z-exponents, so
+    # every cross term, on an odd z-exponent, cancels.
+    even = exact_elem(rng, params, 12, 10 ** 6, (-6, 6), orders=(0, 1, 2))
+    even = RingElem(params, {(2 * l, i): c for (l, i), c in even.terms.items()})
+    odd = exact_elem(rng, params, 12, 7, (-6, 6), orders=(0, 1, 2))
+    odd = RingElem(params, {(2 * l + 1, i): c for (l, i), c in odd.terms.items()})
+    x, y = even + odd, even - odd
+    assert packs(x, y)
+    assert_matches_reference(x, y)
+    assert x * y == even * even - odd * odd
+    assert all(l % 2 == 0 for l, _ in (x * y).nums)
+    # Every u-order sum reaches m = 5: the product is the zero form.
+    high = exact_elem(rng, params, 12, 10 ** 6, (-3, 3), orders=(2, 3, 4))
+    low = exact_elem(rng, params, 12, 10 ** 6, (-3, 3), orders=(3, 4))
+    assert packs(high, low)
+    assert_matches_reference(high, low)
+    assert ((high * low).den, (high * low).nums) == (1, {})
+
+
+@pytest.mark.parametrize("magnitude", [1, 3, 2 ** 7 - 1, 2 ** 30 - 1, 10 ** 12, 3 ** 60])
+def test_packed_product_reaches_its_slot_bound(magnitude):
+    # Equal numerators on consecutive z-exponents: the middle coefficient
+    # of the product is the slot bound max|a| max|b| min(len a, len b)
+    # = 16 magnitude^2 itself, with either sign.  At magnitudes 3 and
+    # 2^30 - 1 the bound has 8 and 64 bits, so the slot has room for it
+    # only through its sign bit.
+    params = RingParams(1, 2)
+    for sa, sb in ((1, 1), (-1, 1), (-1, -1)):
+        x = RingElem(params, {(l, i): sa * magnitude for l in range(8) for i in (0, 1)})
+        y = RingElem(params, {(l, i): sb * magnitude for l in range(-5, 5) for i in (0, 1)})
+        assert packs(x, y)
+        assert_matches_reference(x, y)
+        assert (x * y).coeff(2, 1) == 2 * sa * sb * 8 * magnitude ** 2
+
+
+def test_a_product_too_wide_to_pack_keeps_the_pair_loop():
+    # 16 * 16 term pairs, but with z-exponents 10^12 apart the packed
+    # integers would need 10^12 slots; the pair loop and its
+    # first-occurrence order are kept.
+    params = RingParams(1, 3)
+    rng = random.Random(5)
+    x = exact_elem(rng, params, 16, 10 ** 6, (-4, 4))
+    far = exact_elem(rng, params, 8, 10 ** 6, (10 ** 12, 10 ** 12 + 4))
+    y = far + exact_elem(rng, params, 8, 10 ** 6, (-4, 4))
+    assert len(x.nums) * len(y.nums) >= _PACK_PAIRS and not packs(x, y)
+    assert_matches_reference(x, y)
+    assert_matches_reference(y, x)
 
 
 def _counting(monkeypatch, names):
@@ -264,12 +366,16 @@ def test_products_make_no_per_term_fraction_arithmetic(monkeypatch):
     x = random_elem(rng, params, 6, 10 ** 6, (-5, 5))
     y = random_elem(rng, params, 6, 10 ** 6, (-5, 5))
     unit_mono = RingElem.monomial(params, -3, 2)
+    wide_x = exact_elem(rng, params, 12, 10 ** 6, (-5, 5))
+    wide_y = exact_elem(rng, params, 16, 10 ** 6, (-5, 5))
+    assert packs(wide_x, wide_y)
     calls = _counting(monkeypatch, ("__mul__", "__rmul__", "__add__", "__radd__"))
     xy = x * y
     shifted = unit_mono * x
     moved = x * unit_mono
+    wide = wide_x * wide_y
     assert calls == []
-    assert len(xy.terms) > 1 and len(shifted.terms) > 1
+    assert len(xy.terms) > 1 and len(shifted.terms) > 1 and len(wide.terms) > 1
     assert list(moved.terms.items()) == list(shifted.terms.items())
     # The wrappers count: one Fraction product is seen.
     Fraction(1, 2) * Fraction(1, 3)
