@@ -7,8 +7,7 @@ chart-regular isomorphism pairs, an exact isomorphism decision, and
 Hom/Ext dimensions, all over the rationals with zero tolerance.
 """
 
-from .ring import (ConsistencyError, RingElem, RingParams, invert_unit, plus_part,
-                   sector_split, truncate)
+from .ring import ConsistencyError, RingElem, RingParams, invert_unit, sector_split, truncate
 from .sections import TwistedSection, cone_check, h0_basis, h0_dim, h1_dim
 from .extensions import (ExtClass, Mat2, ModuliParams, basis_W, reduce_cocycle,
                          restrict_level)
@@ -17,8 +16,7 @@ from .groupoid import (CocyclePair, GroupElem, act, cocycle_matrices, induced_in
 from .homspaces import HomProfile, brute_force_hom, hom_ext_dims, isom_decide, obstruction
 
 __all__ = [
-    "ConsistencyError", "RingElem", "RingParams", "invert_unit", "plus_part",
-    "sector_split", "truncate",
+    "ConsistencyError", "RingElem", "RingParams", "invert_unit", "sector_split", "truncate",
     "TwistedSection", "cone_check", "h0_basis", "h0_dim", "h1_dim",
     "ExtClass", "Mat2", "ModuliParams", "basis_W", "reduce_cocycle", "restrict_level",
     "CocyclePair", "GroupElem", "act", "cocycle_matrices", "induced_inverse",

@@ -63,10 +63,6 @@ class GroupElem(_Frozen):
         zero = RingElem.zero(params.ring)
         return cls.from_reps(params, one, zero, zero, one)
 
-    def matrix(self) -> Mat2:
-        """First-chart matrix (a, b_U; c_U, d)."""
-        return Mat2(self.a.rep, self.b.rep, self.c.rep, self.d.rep)
-
     def truncated(self, m_new: int) -> "GroupElem":
         params = self.params.restricted(m_new)
         return GroupElem.from_reps(params, truncate(self.a.rep, m_new),
@@ -177,32 +173,33 @@ def _residual(a_rep: RingElem, c_rep: RingElem, d_rep: RingElem, p: ExtClass,
     return f_split, g_split, b11, a22, b11 * p.p - target.p * a22
 
 
-def _pair_core(g: Mat2, p: ExtClass, target: ExtClass) -> tuple[RingElem, ...]:
-    """A11, A12, A22 and B11 of the canonical pair of g = (a, b; c, d) from
-    p to target = g.p, then the pieces g_V and prec of B22 and B12.
+def _pair_core(a_rep: RingElem, c_rep: RingElem, d_rep: RingElem, p: ExtClass,
+               target: ExtClass) -> tuple[RingElem, ...]:
+    """A11, z^-j succ, A22 and B11 of the canonical pair of g = (a, b; c, d)
+    from p to target = g.p, then the pieces g_V and prec of B22 and B12.
 
-    B21 = z^-2j c, B22 = d - g_V and B12 = z^2j b - z^j prec complete the
-    pair, where g_V is the V part of z^-j c p and prec the prec sector of
-    r = B11 p - p' A22.  Extraction reads none of them.
+    With succ and prec the succ and prec sectors of r = B11 p - p' A22
+    and g_V the V part of z^-j c p, A12 = b + z^-j succ, B21 = z^-2j c,
+    B22 = d - g_V and B12 = z^2j b - z^j prec complete the pair.  b
+    enters only there, linearly, so the core does not read it.
     """
     j = p.params.j
-    a_rep, b_rep, c_rep, d_rep = g.entries()
     (f_plus, _), (_, g_v), b11, a22, residual = _residual(a_rep, c_rep, d_rep, p, target)
     succ, good, prec = sector_split(residual, j)
     if not good.is_zero():
         raise ConsistencyError("cocycle target does not match the action")
-    return a_rep - f_plus, b_rep + succ.shift(-j), a22, b11, g_v, prec
+    return a_rep - f_plus, succ.shift(-j), a22, b11, g_v, prec
 
 
-def _assemble_pair(g: Mat2, core: tuple, p: ExtClass, target: ExtClass,
+def _assemble_pair(g: GroupElem, core: tuple, p: ExtClass, target: ExtClass,
                    check: bool) -> CocyclePair:
     """The canonical pair of g from its ``_pair_core``; with check on, verified exactly."""
     j = p.params.j
-    a11, a12, a22, b11, g_v, prec = core
-    _, b_rep, c_rep, d_rep = g.entries()
-    pair = CocyclePair(Mat2(a11, a12, c_rep, a22),
+    a11, succ, a22, b11, g_v, prec = core
+    b_rep, c_rep = g.b.rep, g.c.rep
+    pair = CocyclePair(Mat2(a11, b_rep + succ, c_rep, a22),
                        Mat2(b11, b_rep.shift(2 * j) - prec.shift(j), c_rep.shift(-2 * j),
-                            d_rep - g_v))
+                            g.d.rep - g_v))
     if check:
         if not pair.is_chart_regular():
             raise ConsistencyError("cocycle pair is not chart regular")
@@ -211,9 +208,9 @@ def _assemble_pair(g: Mat2, core: tuple, p: ExtClass, target: ExtClass,
     return pair
 
 
-def _build_pair(g: Mat2, p: ExtClass, target: ExtClass, check: bool) -> CocyclePair:
+def _build_pair(g: GroupElem, p: ExtClass, target: ExtClass, check: bool) -> CocyclePair:
     """The canonical cocycle pair of g = (a, b; c, d) from p to target = g.p."""
-    return _assemble_pair(g, _pair_core(g, p, target), p, target, check)
+    return _assemble_pair(g, _pair_core(g.a.rep, g.c.rep, g.d.rep, p, target), p, target, check)
 
 
 def cocycle_matrices(g: GroupElem, p: ExtClass, check: bool = True) -> CocyclePair:
@@ -222,7 +219,7 @@ def cocycle_matrices(g: GroupElem, p: ExtClass, check: bool = True) -> CocyclePa
     With check on (the default), chart regularity and the intertwining
     identity are verified exactly before returning.
     """
-    return _build_pair(g.matrix(), p, act(g, p), check)
+    return _build_pair(g, p, act(g, p), check)
 
 
 def _global_part(x: RingElem) -> RingElem:
@@ -235,18 +232,17 @@ def extract_group_elem(A: Mat2, b11: RingElem, p: ExtClass, p_target: ExtClass) 
 
     Reads only A and the entry B11 of B: a and d are the global parts of
     A11 and A22 and c is A21; the core of the canonical pair of
-    (a, 0; c, d) from p to p_target is rebuilt, and b is read off as the
-    difference of the A12 entries.  A11, A22 and B11 must match the
-    rebuilt ones exactly.
+    (a, b; c, d) from p to p_target, which does not read b, is rebuilt,
+    and b is read off as A12 - z^-j succ.  A11, A22 and B11 must match
+    the rebuilt ones exactly.
     """
     params = p.params
     j = params.j
     a_rep, c_rep, d_rep = _global_part(A.a11), A.a21, _global_part(A.a22)
     try:
         c_sec = TwistedSection(2 * j, c_rep)
-        a11, a12, a22, rebuilt_b11, _, _ = _pair_core(
-            Mat2(a_rep, RingElem.zero(params.ring), c_rep, d_rep), p, p_target)
-        b_sec = TwistedSection(-2 * j, A.a12 - a12)
+        a11, succ, a22, rebuilt_b11, _, _ = _pair_core(a_rep, c_rep, d_rep, p, p_target)
+        b_sec = TwistedSection(-2 * j, A.a12 - succ)
     except (ConsistencyError, ValueError) as exc:
         raise ValueError("not a normalized cocycle pair") from exc
     if (A.a11, A.a22, b11) != (a11, a22, rebuilt_b11):
@@ -261,21 +257,21 @@ def induced_product(g1: GroupElem, g2: GroupElem, p: ExtClass,
     Extraction reads only A and B11 of the composed pair, so only the
     cores of the two pairs are built, and A1 A2 and B11 are formed from
     them: B1_12 B2_21 = (z^2j b1 - z^j prec1) z^-2j c2 = (b1 - z^-j prec1) c2.
-    With check on, both pairs are also assembled and verified.
+    With check on, both pairs are also assembled and verified.  The two
+    ``act`` calls reject mismatched moduli parameters.
     """
-    if not (g1.params is g2.params is p.params or g1.params == g2.params == p.params):
-        raise ValueError("mismatched moduli parameters")
     q = act(g2, p)
     q2 = act(g1, q)
-    m1, m2 = g1.matrix(), g2.matrix()
-    core1, core2 = _pair_core(m1, q, q2), _pair_core(m2, p, q)
+    core1 = _pair_core(g1.a.rep, g1.c.rep, g1.d.rep, q, q2)
+    core2 = _pair_core(g2.a.rep, g2.c.rep, g2.d.rep, p, q)
     if check:
-        _assemble_pair(m2, core2, p, q, check)
-        _assemble_pair(m1, core1, q, q2, check)
-    # A core is (A11, A12, A22, B11, g_V, prec); A21 = c.
-    a1 = Mat2(core1[0], core1[1], m1.a21, core1[2])
-    a2 = Mat2(core2[0], core2[1], m2.a21, core2[2])
-    b11 = core1[3] * core2[3] + (m1.a12 - core1[5].shift(-p.params.j)) * m2.a21
+        _assemble_pair(g2, core2, p, q, check)
+        _assemble_pair(g1, core1, q, q2, check)
+    a11_1, succ1, a22_1, b11_1, _, prec1 = core1
+    a11_2, succ2, a22_2, b11_2, _, _ = core2
+    a1 = Mat2(a11_1, g1.b.rep + succ1, g1.c.rep, a22_1)
+    a2 = Mat2(a11_2, g2.b.rep + succ2, g2.c.rep, a22_2)
+    b11 = b11_1 * b11_2 + (g1.b.rep - prec1.shift(-p.params.j)) * g2.c.rep
     return extract_group_elem(a1 * a2, b11, p, q2)
 
 
@@ -285,12 +281,10 @@ def induced_inverse(g: GroupElem, p: ExtClass, check: bool = True) -> GroupElem:
     Extraction reads only A^-1 and the entry B22 / det B of B^-1, and
     det B = det A since the transition matrices have determinant 1.  So
     det A is inverted once, and that inverse scales both the adjugate
-    of A and B22.
+    of A and B22.  The ``act`` call rejects mismatched moduli parameters.
     """
-    if g.params is not p.params and g.params != p.params:
-        raise ValueError("mismatched moduli parameters")
     q = act(g, p)
-    pair = _build_pair(g.matrix(), p, q, check)
+    pair = _build_pair(g, p, q, check)
     A = pair.A
     inv_det = invert_unit(A.det())
     a_inv = Mat2(A.a22 * inv_det, (-A.a12) * inv_det, (-A.a21) * inv_det, A.a11 * inv_det)
@@ -354,7 +348,7 @@ def _check_sample(params: ModuliParams, rng: random.Random,
     out["identity_action"] = act(e, p) == p
 
     q1 = act(g1, p)
-    pair1 = _build_pair(g1.matrix(), p, q1, check=False)
+    pair1 = _build_pair(g1, p, q1, check=False)
     out["intertwining"] = pair1.is_chart_regular() and pair1.intertwines(p, q1)
     out["roundtrip"] = extract_group_elem(pair1.A, pair1.B.a11, p, q1) == g1
 

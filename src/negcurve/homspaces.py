@@ -53,6 +53,8 @@ def obstruction(a_rep: RingElem, d_rep: RingElem, c_rep: RingElem,
     E_p to E_{p_target} exactly when the band sector of r is empty, that
     is when act(g, p) == p_target.
     """
+    if p.params != p_target.params:
+        raise ValueError("mismatched moduli parameters")
     return _residual(a_rep, c_rep, d_rep, p, p_target)[-1]
 
 

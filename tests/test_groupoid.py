@@ -162,6 +162,41 @@ def test_pair_intertwines_with_large_c_corrections():
     assert mobius_series(g, p) != q
 
 
+@pytest.mark.parametrize("density", ["sparse", "full"])
+def test_gluing_does_not_read_b(density):
+    # b enters the canonical pair only linearly, in A12 = b + z^-j succ and
+    # B12 = z^2j b - z^j prec.  So on the criterion-5 grid, replacing b by
+    # b + delta, another section of O(-2j), leaves the action and the pair
+    # core as they are and moves A12 by delta and B12 by z^2j delta, and
+    # nothing else.  O(-2j) has sections at five of the fifteen tuples.
+    moved = 0
+    for (k, j, m) in GRID:
+        params = params_of(k, j, m)
+        ring, basis_b = params.ring, h0_basis(-2 * j, params.ring)
+        if not basis_b:
+            continue
+        for idx in range(3):
+            rng = substream(4242, 100 * k + 10 * j + m + 1000 * idx)
+            if density == "full":
+                g, p = full_group_elem(params, rng), full_ext_class(params, rng)
+                delta = RingElem(ring, _generic_terms(basis_b, rng))
+            else:
+                g, p = sample_group_elem(params, rng), sample_ext_class(params, rng)
+                delta = RingElem(ring, {t: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), 2)
+                                        for t in rng.sample(basis_b, min(2, len(basis_b)))})
+            h = gelem(params, g.a.rep, g.b.rep + delta, g.c.rep, g.d.rep)
+            q, q_moved = act(g, p), act(h, p)
+            assert q_moved == q
+            assert (groupoid._pair_core(h.a.rep, h.c.rep, h.d.rep, p, q_moved)
+                    == groupoid._pair_core(g.a.rep, g.c.rep, g.d.rep, p, q))
+            pair, moved_pair = cocycle_matrices(g, p), cocycle_matrices(h, p)
+            A, B = pair.A, pair.B
+            assert moved_pair.A == Mat2(A.a11, A.a12 + delta, A.a21, A.a22)
+            assert moved_pair.B == Mat2(B.a11, B.a12 + delta.shift(2 * j), B.a21, B.a22)
+            moved += 1
+    assert moved == 15
+
+
 def test_extract_round_trip_sampled():
     for (k, j, m) in [(1, 2, 3), (2, 3, 4), (3, 3, 2)]:
         params = params_of(k, j, m)
@@ -228,12 +263,16 @@ def test_diagonal_product():
 
 
 def test_product_at_origin_is_matrix_product():
+    def matrix(g):
+        """The first-chart matrix (a, b_U; c_U, d) of g."""
+        return Mat2(g.a.rep, g.b.rep, g.c.rep, g.d.rep)
+
     zero = ExtClass(MP, RingElem.zero(MP.ring))
     for idx in range(25):
         rng = substream(31337, idx)
         g1 = sample_group_elem(MP, rng)
         g2 = sample_group_elem(MP, rng)
-        assert induced_product(g1, g2, zero).matrix() == g1.matrix() * g2.matrix()
+        assert matrix(induced_product(g1, g2, zero)) == matrix(g1) * matrix(g2)
 
 
 def test_product_compatibility_and_pair_multiplicativity():

@@ -8,8 +8,8 @@ import pytest
 
 from negcurve import linalg
 from negcurve.extensions import ExtClass, Mat2, ModuliParams, basis_W
-from negcurve.groupoid import (CocyclePair, GroupElem, act, cocycle_matrices, induced_product,
-                               sample_ext_class, sample_group_elem, substream)
+from negcurve.groupoid import (CocyclePair, GroupElem, act, cocycle_matrices, induced_inverse,
+                               induced_product, sample_ext_class, sample_group_elem, substream)
 from negcurve.homspaces import (_band_layout, brute_force_hom, build_linear_system,
                                 default_degree_bound, hom_ext_dims, isom_decide, obstruction,
                                 spectral_differentials)
@@ -601,18 +601,25 @@ def test_isom_verdicts_match_brute_force_determinant():
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 15
 
 
-# Isomorphism classes of the classes with coefficients in {-1, 0, 1}:
-# (k, j, m) -> (class count, whether brute_force_isomorphic is checked).
-# The brute-force check runs on two grids only, to keep the test near 4 s.
-UNIT_GRIDS = {(1, 2, 3): (6, True), (2, 3, 4): (15, False), (3, 3, 4): (5, True)}
+# Isomorphism classes of the classes with coefficients in {-1, 0, 1}, on the
+# 13 acceptance tuples with dim W <= 4: (k, j, m) -> class count.  The
+# brute-force check runs only on the grids of at most 27 extension classes,
+# to keep the 13 tests near 7 s.
+UNIT_GRIDS = {(1, 2, 2): 5, (1, 2, 3): 6, (1, 2, 4): 6, (1, 3, 2): 41, (2, 2, 2): 2,
+              (2, 2, 3): 2, (2, 2, 4): 2, (2, 3, 2): 14, (2, 3, 3): 15, (2, 3, 4): 15,
+              (3, 3, 2): 5, (3, 3, 3): 5, (3, 3, 4): 5}
 
 
 @pytest.mark.parametrize("kjm", sorted(UNIT_GRIDS))
 def test_isom_classes_partition_the_unit_grid(kjm):
-    count, cross_check = UNIT_GRIDS[kjm]
+    count = UNIT_GRIDS[kjm]
     params = params_of(*kjm)
     width = len(basis_W(params))
     grid = [ec(list(vec), params) for vec in product((-1, 0, 1), repeat=width)]
+    if params.m == 2:
+        # Criterion 1: at the first level the classes are 0 and the lines
+        # of W, and the nonzero vectors of the grid meet each line in +-v.
+        assert count == 1 + (3 ** width - 1) // 2
     witness = {(s, t): isom_decide(p, q) for s, p in enumerate(grid) for t, q in enumerate(grid)}
     related = [frozenset(t for t in range(len(grid)) if witness[s, t] is not None)
                for s in range(len(grid))]
@@ -635,7 +642,7 @@ def test_isom_classes_partition_the_unit_grid(kjm):
         for t in rest:
             assert hom_ext_dims(grid[t], grid[t]).dim_hom == dim_end
             assert hom_ext_dims(p, grid[t]).dim_hom == dim_end
-    if cross_check:
+    if len(grid) <= 27:
         # Brute force agrees on every pair of class representatives and on
         # each member against its representative; it decides an
         # equivalence too, so it then gives the same partition.
@@ -808,6 +815,32 @@ def test_param_mismatch_rejected():
         isom_decide(p, other)
     with pytest.raises(ValueError, match="mismatched"):
         hom_ext_dims(p, other)
+
+
+@pytest.mark.parametrize("operation", ["act", "cocycle_matrices", "induced_product g1",
+                                       "induced_product g2", "induced_inverse", "isom_decide",
+                                       "hom_ext_dims", "brute_force_hom", "obstruction"])
+def test_every_two_class_operation_rejects_mismatched_j(operation):
+    # At (k, m) = (1, 4) the rings of j = 2 and j = 3 are equal, so only a
+    # comparison of the moduli parameters catches the mismatch.
+    rng = substream(2828, 0)
+    params, other = params_of(1, 2, 4), params_of(1, 3, 4)
+    g, h, p = (sample_group_elem(params, rng), sample_group_elem(params, rng),
+               sample_ext_class(params, rng))
+    g_other, q = sample_group_elem(other, rng), sample_ext_class(other, rng)
+    call = {
+        "act": lambda: act(g_other, p),
+        "cocycle_matrices": lambda: cocycle_matrices(g_other, p),
+        "induced_product g1": lambda: induced_product(g_other, h, p),
+        "induced_product g2": lambda: induced_product(g, g_other, p),
+        "induced_inverse": lambda: induced_inverse(g_other, p),
+        "isom_decide": lambda: isom_decide(p, q),
+        "hom_ext_dims": lambda: hom_ext_dims(p, q),
+        "brute_force_hom": lambda: brute_force_hom(p, q),
+        "obstruction": lambda: obstruction(g.a.rep, g.d.rep, g.c.rep, p, q),
+    }[operation]
+    with pytest.raises(ValueError, match=r"^mismatched moduli parameters$"):
+        call()
 
 
 # -- orbit dimension: the Hom count from the action alone -------------------------
