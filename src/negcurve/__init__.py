@@ -13,7 +13,7 @@ from .extensions import (ExtClass, Mat2, ModuliParams, basis_W, reduce_cocycle,
                          restrict_level)
 from .groupoid import (CocyclePair, GroupElem, act, cocycle_matrices, induced_inverse,
                        induced_product, sample_ext_class, sample_group_elem, verify_groupoid)
-from .homspaces import HomProfile, brute_force_hom, hom_ext_dims, isom_decide, obstruction
+from .homspaces import HomProfile, brute_force_hom, hom_ext_dims, isom_decide
 
 __all__ = [
     "ConsistencyError", "RingElem", "RingParams", "invert_unit", "sector_split", "truncate",
@@ -21,7 +21,7 @@ __all__ = [
     "ExtClass", "Mat2", "ModuliParams", "basis_W", "reduce_cocycle", "restrict_level",
     "CocyclePair", "GroupElem", "act", "cocycle_matrices", "induced_inverse",
     "induced_product", "sample_ext_class", "sample_group_elem", "verify_groupoid",
-    "HomProfile", "brute_force_hom", "hom_ext_dims", "isom_decide", "obstruction",
+    "HomProfile", "brute_force_hom", "hom_ext_dims", "isom_decide",
 ]
 
 __version__ = "0.1.0"

@@ -237,6 +237,8 @@ def extract_group_elem(A: Mat2, b11: RingElem, p: ExtClass, p_target: ExtClass) 
     the rebuilt ones exactly.
     """
     params = p.params
+    if params is not p_target.params and params != p_target.params:
+        raise ValueError("mismatched moduli parameters")
     j = params.j
     a_rep, c_rep, d_rep = _global_part(A.a11), A.a21, _global_part(A.a22)
     try:

@@ -2,12 +2,13 @@
 
 Two bundles with classes p and p' are isomorphic exactly when some
 automorphism datum (a, d, c) with a(0,0)*d(0,0) != 0 kills the band
-sector of the obstruction, the residual of its canonical cocycle pair
+sector of the residual r = B11 p - p' A22 of its canonical cocycle
+pair, which ``groupoid._residual`` computes:
 
-    B11 p - p' A22 = (a + (z^-j c p')_V) p - p' (d + (z^-j c p)_+),
+    r = (a + (z^-j c p')_V) p - p' (d + (z^-j c p)_+),
 
 where (.)_V keeps the second-chart-regular monomials and (.)_+ the
-rest.  On the band the obstruction is minus [d1 | d2] applied to the
+rest.  On the band r is minus [d1 | d2] applied to the
 coefficients of (a, d, c), where d1(a, d) is the class of d*p' - a*p and
 d2(c) that of (z^-j c p)_+ p' - (z^-j c p')_V p.  ``build_linear_system``
 builds this matrix once in integers, times den(p) den(p'), one sparse
@@ -27,7 +28,8 @@ cross-checks every dimension; its system is read from
 B = T(p') A T(p)^-1, one image T(p') E T(p)^-1 per unit matrix E, in
 integers, and built once for both of its degree bounds: the degree
 system is a column prefix.  Its basis pairs are read from the sparse
-nullspace vectors, each B formed from A entry by entry.
+nullspace vectors, each B the sum of the images weighted by the entries
+of A.
 """
 
 from __future__ import annotations
@@ -37,25 +39,9 @@ from operator import itemgetter
 
 from . import linalg
 from .extensions import ExtClass, Mat2, ModuliParams
-from .groupoid import CocyclePair, GroupElem, _residual, act
+from .groupoid import CocyclePair, GroupElem, act
 from .ring import ConsistencyError, RingElem, _Frozen, _normal
 from .sections import h0_basis, h0_dim, h1_dim
-
-
-def obstruction(a_rep: RingElem, d_rep: RingElem, c_rep: RingElem,
-                p: ExtClass, p_target: ExtClass) -> RingElem:
-    """The gluing residual r = B11 p - p' A22 of the datum (a, d, c) from p
-    to p_target.
-
-    B11 = a + (z^-j c p')_V and A22 = d + (z^-j c p)_+ are the diagonal
-    entries of the canonical cocycle pair, so r is the residual that
-    ``act`` solves for and ``cocycle_matrices`` checks.  The datum glues
-    E_p to E_{p_target} exactly when the band sector of r is empty, that
-    is when act(g, p) == p_target.
-    """
-    if p.params != p_target.params:
-        raise ValueError("mismatched moduli parameters")
-    return _residual(a_rep, c_rep, d_rep, p, p_target)[-1]
 
 
 def _by_order(nums, scale: int, m: int) -> list[dict[int, int]]:
@@ -138,7 +124,7 @@ def build_linear_system(p: ExtClass, p_target: ExtClass) -> list[dict[int, int]]
     The c-columns are read from one running product.  Write
     a(t) = l - k*i for a term t = p_t z^l u^i of p, and b(s) likewise for
     a term s of p'.  For c = z^lc u^ic and theta = j - lc + k*ic,
-    -obstruction(0, 0, c) is z^(lc-j) u^ic W_theta with
+    minus the residual r of (0, 0, c) is z^(lc-j) u^ic W_theta with
 
         W_theta = sum_{a(t) > theta} t p' - sum_{b(s) <= theta} s p,
 
@@ -338,24 +324,19 @@ def default_degree_bound(params: ModuliParams) -> int:
     return params.k * (params.m - 1) + 2 * params.j + 1
 
 
-def _hom_rows(t_target: Mat2, t_source_inv: Mat2, columns: list) -> list[dict[int, int]]:
+def _hom_rows(images: list, columns: list) -> list[dict[int, int]]:
     """The integer chart-regularity system for intertwining pairs, one row
     per monomial of B that must vanish.
 
     Unknown u is the coefficient of the monomial z^l u^i of entry e of A,
-    where columns[u] = (e, (l, i)).  It contributes z^l u^i times the
-    image T(p') E_e T(p)^-1 of the unit matrix E_e to B = T(p') A T(p)^-1,
-    and each monomial of B with l > k*i must vanish.  E_e = E_rs, with
-    e = 2r + s, is column r times row s, so its image is column r of
-    T(p') times row s of T(p)^-1: entry (x, y) is T(p')_xr T(p)^-1_sy,
-    one ring product.  Rows are scaled by the lcm of the images'
-    denominators; each row holds its columns in increasing order.
+    where columns[u] = (e, (l, i)).  It contributes z^l u^i times
+    images[e], the image T(p') E_e T(p)^-1 of the unit matrix E_e with
+    its entries in (x, y) order, to B = T(p') A T(p)^-1, and each monomial
+    of B with l > k*i must vanish.  Rows are scaled by the lcm of the
+    images' denominators; each row holds its columns in increasing order.
     """
-    ring = t_target.a11.params
+    ring = images[0][0].params
     k, m = ring.k, ring.m
-    t, t_inv = t_target.entries(), t_source_inv.entries()
-    images = [[t[2 * x + r] * t_inv[2 * s + y] for x in (0, 1) for y in (0, 1)]
-              for r in (0, 1) for s in (0, 1)]
     den = lcm(*(elem.den for image in images for elem in image))
     scaled = [[(b, elem.nums.items(), den // elem.den) for b, elem in enumerate(image) if elem]
               for image in images]
@@ -380,17 +361,20 @@ def brute_force_hom(p: ExtClass, p_target: ExtClass,
     both bounds: it is built once for degree+1, and the degree system is
     its column prefix of l <= degree.  Each entry of a row is set by its
     unknown alone, so dropping the other columns (and the rows left
-    empty) gives exactly the system built for degree.  Each basis pair's
-    A holds the nonzero entries of one sparse nullspace vector, and its B
-    is T(p') A T(p)^-1 in four ring products: with T(p) = (z^j, p; 0, z^-j),
-    B11 = A11 + z^-j p' A21, B21 = z^-2j A21, B22 = A22 - z^-j A21 p and
-    B12 = z^2j A12 + z^j p' A22 - (z^j A11 + p' A21) p.  The columns keep
-    the (entry, u-order, l) order, since the free columns, and so the
-    basis pairs, follow the column order.
+    empty) gives exactly the system built for degree.  B = T(p') A T(p)^-1
+    is linear in A: it is the sum of A_e times the image T(p') E_e T(p)^-1
+    of each unit matrix E_e.  E_e = E_rs, with e = 2r + s, is column r
+    times row s, so entry (x, y) of its image is T(p')_xr T(p)^-1_sy, one
+    ring product; the 16 are formed once, and both the system and each
+    basis pair's B are read from them.  Each basis pair's A holds the
+    nonzero entries of one sparse nullspace vector.  The columns keep the
+    (entry, u-order, l) order, since the free columns, and so the basis
+    pairs, follow the column order.
 
     Every entry of A of every pair lies in z-degrees <= D = k(m-1) + 2j,
     so any degree >= D gives all of Hom.  Solve B = T(p') A T(p)^-1 for
-    A, with B v-regular (l <= k*i) and i <= m-1 throughout:
+    A, with T(p) = (z^j, p; 0, z^-j), B v-regular (l <= k*i) and
+    i <= m-1 throughout:
 
     - A21 = z^2j B21, so l <= k*i + 2j <= D.
     - A11 = B11 - z^-j p' A21 and A22 = B22 + z^-j A21 p.  A band term of
@@ -415,15 +399,18 @@ def brute_force_hom(p: ExtClass, p_target: ExtClass,
         degree = default_degree_bound(params)
     if degree < 1:
         raise ValueError("degree bound must be at least 1")
-    t_target, t_source = p_target.transition(), p.transition()
+    t = p_target.transition().entries()
+    s11, s12, s21, s22 = p.transition().entries()
     # det T(p) = 1, so T(p)^-1 is the adjugate of T(p).
-    t_source_inv = Mat2(t_source.a22, -t_source.a12, -t_source.a21, t_source.a11)
+    t_inv = (s22, -s12, -s21, s11)
+    images = [[t[2 * x + r] * t_inv[2 * s + y] for x in (0, 1) for y in (0, 1)]
+              for r in (0, 1) for s in (0, 1)]
     ring = params.ring
     # The unknowns (entry, monomial) with l <= degree, then those with l = degree + 1.
     columns = [(e, (l, i)) for e in range(4) for i in range(ring.m) for l in range(degree + 1)]
     n = len(columns)
     columns += [(e, (degree + 1, i)) for e in range(4) for i in range(ring.m)]
-    rows_next = _hom_rows(t_target, t_source_inv, columns)
+    rows_next = _hom_rows(images, columns)
     rows = [r for r in ({u: x for u, x in row.items() if u < n} for row in rows_next) if r]
     basis = linalg.nullspace(rows, n)
     # Only the size of this basis is read; a rank would do, but
@@ -432,17 +419,17 @@ def brute_force_hom(p: ExtClass, p_target: ExtClass,
     if len(basis) != len(linalg.nullspace(rows_next, len(columns))):
         raise ValueError("degree bound too small")
 
-    j, p_src, p_dst = params.j, p.p, p_target.p
+    zero = RingElem.zero(ring)
     pairs = []
     for vec in basis:
         entries: list[dict] = [{}, {}, {}, {}]
         for u, x in vec.items():
             e, mono = columns[u]
             entries[e][mono] = x
-        a11, a12, a21, a22 = (RingElem(ring, terms) for terms in entries)
-        qa21 = p_dst * a21
-        b_mat = Mat2(a11 + qa21.shift(-j),
-                     (a12.shift(j) + p_dst * a22).shift(j) - (a11.shift(j) + qa21) * p_src,
-                     a21.shift(-2 * j), a22 - (a21 * p_src).shift(-j))
-        pairs.append(CocyclePair(Mat2(a11, a12, a21, a22), b_mat))
+        a = [RingElem(ring, terms) for terms in entries]
+        b = [zero] * 4
+        for a_e, image in zip(a, images):
+            if a_e:
+                b = [acc + a_e * elem if elem else acc for acc, elem in zip(b, image)]
+        pairs.append(CocyclePair(Mat2(*a), Mat2(*b)))
     return len(basis), pairs

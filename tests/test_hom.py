@@ -1,4 +1,4 @@
-"""The gluing obstruction, the isomorphism decision, and Hom/Ext dimensions."""
+"""The gluing residual, the isomorphism decision, and Hom/Ext dimensions."""
 
 from fractions import Fraction
 from itertools import chain, product
@@ -8,10 +8,11 @@ import pytest
 
 from negcurve import linalg
 from negcurve.extensions import ExtClass, Mat2, ModuliParams, basis_W
-from negcurve.groupoid import (CocyclePair, GroupElem, act, cocycle_matrices, induced_inverse,
-                               induced_product, sample_ext_class, sample_group_elem, substream)
+from negcurve.groupoid import (CocyclePair, GroupElem, _residual, act, cocycle_matrices,
+                               extract_group_elem, induced_inverse, induced_product,
+                               sample_ext_class, sample_group_elem, substream)
 from negcurve.homspaces import (_band_layout, brute_force_hom, build_linear_system,
-                                default_degree_bound, hom_ext_dims, isom_decide, obstruction,
+                                default_degree_bound, hom_ext_dims, isom_decide,
                                 spectral_differentials)
 from negcurve.ring import RingElem, RingParams, sector_split
 from negcurve.sections import h0_basis, h0_dim, h1_dim
@@ -50,14 +51,14 @@ def diagonal(params, lam, mu):
                                RingElem.zero(ring), RingElem.constant(ring, mu))
 
 
-# -- the gluing obstruction ----------------------------------------------------
+# -- the gluing residual -------------------------------------------------------
 
 def glues(g, p, q):
-    """Whether the band sector of g's obstruction from p to q is empty.
+    """Whether the band sector of g's gluing residual from p to q is empty.
 
     That is the paper's gluing test; it must agree with act(g, p) == q.
     """
-    band = sector_split(obstruction(g.a.rep, g.d.rep, g.c.rep, p, q), p.params.j)[1]
+    band = sector_split(_residual(g.a.rep, g.c.rep, g.d.rep, p, q)[-1], p.params.j)[1]
     assert band.is_zero() == (act(g, p) == q)
     return band.is_zero()
 
@@ -91,7 +92,7 @@ def test_witness_agrees_with_action_sampled():
 
 @pytest.mark.parametrize("density", ["sparse", "full"])
 def test_obstruction_is_the_pair_residual(density):
-    # On the criterion-5 grid: with q = act(g, p), obstruction is the
+    # On the criterion-5 grid: with q = act(g, p), _residual ends in the
     # residual B11 p - q A22 of the canonical pair, and its band is empty
     # exactly for the glued target, not for an unrelated one.
     unglued = 0
@@ -107,7 +108,7 @@ def test_obstruction_is_the_pair_residual(density):
                 p, other = sample_ext_class(params, rng), sample_ext_class(params, rng)
             q = act(g, p)
             pair = cocycle_matrices(g, p)
-            assert obstruction(g.a.rep, g.d.rep, g.c.rep, p, q) == \
+            assert _residual(g.a.rep, g.c.rep, g.d.rep, p, q)[-1] == \
                 pair.B.a11 * p.p - q.p * pair.A.a22
             assert glues(g, p, q)
             unglued += not glues(g, p, other)
@@ -313,8 +314,9 @@ def test_linear_system_layout():
 
 def test_linear_system_is_minus_the_band_obstruction():
     # Row r applied to the coefficients of (a, d, c) is minus the band
-    # coefficient r of obstruction(a, d, c) times D = den(p) den(q): every
-    # unknown's index and sign is pinned, block by block.
+    # coefficient r of the gluing residual of (a, d, c) times
+    # D = den(p) den(q): every unknown's index and sign is pinned, block by
+    # block.
     for (k, j, m) in [(1, 2, 3), (1, 3, 4), (2, 4, 3)]:
         params = params_of(k, j, m)
         ring = params.ring
@@ -328,7 +330,7 @@ def test_linear_system_is_minus_the_band_obstruction():
             a, d, c = (RingElem(ring, dict(zip(b, xs))) for b, xs in
                        ((basis0, x[:len(basis0)]), (basis0, x[len(basis0):2 * len(basis0)]),
                         (basis_c, x[2 * len(basis0):])))
-            obs = obstruction(a, d, c, p, q)
+            obs = _residual(a, c, d, p, q)[-1]
             rows = build_linear_system(p, q)
             assert all(type(v) is int for row in rows for v in row.values())
             image = [sum((v * x[u] for u, v in row.items()), Fraction(0)) for row in rows]
@@ -338,8 +340,9 @@ def test_linear_system_is_minus_the_band_obstruction():
 
 def reference_build_linear_system(p: ExtClass, p_target: ExtClass) -> list[dict[int, Fraction]]:
     """Verbatim copy of the per-unknown builder, two full products per
-    c-unknown through -obstruction(0, 0, c).  The running-product builder
-    must match it in every value and in the key order of every row.
+    c-unknown through minus the gluing residual of (0, 0, c).  The
+    running-product builder must match it in every value and in the key
+    order of every row.
     """
     if p.params != p_target.params:
         raise ValueError("mismatched moduli parameters")
@@ -350,7 +353,7 @@ def reference_build_linear_system(p: ExtClass, p_target: ExtClass) -> list[dict[
     # Each image is made when its unknown is read, so none outlives its row entries.
     images = chain((-(p.p * RingElem.monomial(ring, l, i)) for (l, i) in basis0),
                    (p_target.p * RingElem.monomial(ring, l, i) for (l, i) in basis0),
-                   (-obstruction(zero, zero, RingElem.monomial(ring, l, i), p, p_target)
+                   (-_residual(zero, RingElem.monomial(ring, l, i), zero, p, p_target)[-1]
                     for (l, i) in basis_c))
     rows: list[dict[int, Fraction]] = [{} for _ in band_index]
     for unknown, elem in enumerate(images):
@@ -610,12 +613,17 @@ UNIT_GRIDS = {(1, 2, 2): 5, (1, 2, 3): 6, (1, 2, 4): 6, (1, 3, 2): 41, (2, 2, 2)
               (3, 3, 2): 5, (3, 3, 3): 5, (3, 3, 4): 5}
 
 
+def unit_grid(params):
+    """The classes with coefficients in {-1, 0, 1}, in product order."""
+    return [ec(list(vec), params) for vec in product((-1, 0, 1), repeat=len(basis_W(params)))]
+
+
 @pytest.mark.parametrize("kjm", sorted(UNIT_GRIDS))
 def test_isom_classes_partition_the_unit_grid(kjm):
     count = UNIT_GRIDS[kjm]
     params = params_of(*kjm)
     width = len(basis_W(params))
-    grid = [ec(list(vec), params) for vec in product((-1, 0, 1), repeat=width)]
+    grid = unit_grid(params)
     if params.m == 2:
         # Criterion 1: at the first level the classes are 0 and the lines
         # of W, and the nonzero vectors of the grid meet each line in +-v.
@@ -651,6 +659,34 @@ def test_isom_classes_partition_the_unit_grid(kjm):
         checked += [(min(related[t]), t) for t in range(len(grid)) if t not in firsts]
         for s, t in checked:
             assert brute_force_isomorphic(grid[s], grid[t]) == (witness[s, t] is not None)
+
+
+# Criterion 2's orbit facts at (1, 2, 3), each class named by a member of
+# the unit grid, or None for a class that meets no member.
+CRITERION_2_CLASSES = {
+    (0, 0, 1): (0, 0, -1), (0, 0, 9): (0, 0, -1),
+    (1, 0, 0): (-1, 0, -1), (0, 1, 0): (0, -1, -1),
+    (1, 2, 5): None, (3, 6, 0): None, (3, 6, -7): None, (3, 6, 13): None,
+}
+
+
+def test_criterion_2_orbit_facts_on_the_unit_grid():
+    # One representative per class of the (1, 2, 3) unit grid: its first
+    # member.  The partition test checks that the verdicts are an
+    # equivalence there, so each class is read off its representative.
+    reps = []
+    for p in unit_grid(MP):
+        if all(isom_decide(p, r) is None for r in reps):
+            reps.append(p)
+    assert len(reps) == UNIT_GRIDS[1, 2, 3]
+
+    def classes_of(p):
+        return [s for s, r in enumerate(reps) if isom_decide(p, r) is not None]
+
+    for vec, member in CRITERION_2_CLASSES.items():
+        expected = [] if member is None else classes_of(ec(list(member)))
+        assert len(expected) == (member is not None)
+        assert classes_of(ec(list(vec))) == expected, vec
 
 
 def reference_hom_space(p, p_target, degree):
@@ -819,7 +855,7 @@ def test_param_mismatch_rejected():
 
 @pytest.mark.parametrize("operation", ["act", "cocycle_matrices", "induced_product g1",
                                        "induced_product g2", "induced_inverse", "isom_decide",
-                                       "hom_ext_dims", "brute_force_hom", "obstruction"])
+                                       "hom_ext_dims", "brute_force_hom", "extract_group_elem"])
 def test_every_two_class_operation_rejects_mismatched_j(operation):
     # At (k, m) = (1, 4) the rings of j = 2 and j = 3 are equal, so only a
     # comparison of the moduli parameters catches the mismatch.
@@ -828,6 +864,10 @@ def test_every_two_class_operation_rejects_mismatched_j(operation):
     g, h, p = (sample_group_elem(params, rng), sample_group_elem(params, rng),
                sample_ext_class(params, rng))
     g_other, q = sample_group_elem(other, rng), sample_ext_class(other, rng)
+    # Between zero classes the identity's pair glues for either j, so only
+    # the comparison catches a pair extracted against the other j.
+    zero, zero_other = (ExtClass(ps, RingElem.zero(ps.ring)) for ps in (params, other))
+    identity = cocycle_matrices(GroupElem.identity(params), zero)
     call = {
         "act": lambda: act(g_other, p),
         "cocycle_matrices": lambda: cocycle_matrices(g_other, p),
@@ -837,7 +877,8 @@ def test_every_two_class_operation_rejects_mismatched_j(operation):
         "isom_decide": lambda: isom_decide(p, q),
         "hom_ext_dims": lambda: hom_ext_dims(p, q),
         "brute_force_hom": lambda: brute_force_hom(p, q),
-        "obstruction": lambda: obstruction(g.a.rep, g.d.rep, g.c.rep, p, q),
+        "extract_group_elem": lambda: extract_group_elem(identity.A, identity.B.a11, zero,
+                                                         zero_other),
     }[operation]
     with pytest.raises(ValueError, match=r"^mismatched moduli parameters$"):
         call()

@@ -7,7 +7,7 @@ from math import gcd, lcm
 import pytest
 
 from negcurve import linalg
-from negcurve.extensions import ExtClass, Mat2, ModuliParams, basis_W
+from negcurve.extensions import ExtClass, ModuliParams, basis_W
 from negcurve.groupoid import act, sample_ext_class, sample_group_elem, substream
 from negcurve.homspaces import (_hom_rows, brute_force_hom, build_linear_system,
                                 default_degree_bound)
@@ -285,16 +285,19 @@ def test_hom_rows_are_nonzero_integer_rows():
     columns = [(e, (l, i)) for e in range(4) for i in range(m) for l in range(degree + 1)]
     n = len(columns)
     columns += [(e, (degree + 1, i)) for e in range(4) for i in range(m)]
-    t_target = p.transition()
-    t_source_inv = Mat2(t_target.a22, -t_target.a12, -t_target.a21, t_target.a11)
-    rows = _hom_rows(t_target, t_source_inv, columns)
+    # The images T(p) E_e T(p)^-1 of the unit matrices, as brute_force_hom forms them.
+    t = p.transition().entries()
+    t_inv = (t[3], -t[1], -t[2], t[0])
+    images = [[t[2 * x + r] * t_inv[2 * s + y] for x in (0, 1) for y in (0, 1)]
+              for r in (0, 1) for s in (0, 1)]
+    rows = _hom_rows(images, columns)
     assert len(rows) > 100
     assert all(type(v) is int and v for row in rows for v in row.values())
     assert all(list(row) == sorted(row) and 0 <= min(row) and max(row) < len(columns)
                for row in rows)
     # The system built on a column prefix is the full system cut to that prefix.
     cut = [r for r in ({u: x for u, x in row.items() if u < n} for row in rows) if r]
-    alone = _hom_rows(t_target, t_source_inv, columns[:n])
+    alone = _hom_rows(images, columns[:n])
     assert sorted(map(sorted, map(dict.items, cut))) == sorted(map(sorted, map(dict.items, alone)))
 
 
