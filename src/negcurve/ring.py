@@ -41,9 +41,10 @@ formed as sums of integer products, and the terms are read back in
 increasing (i, l) order.  A slot is a whole number of bytes at least a
 sign bit wider than the bits of max|a| max|b| min(len a, len b), which
 bounds every output numerator, so no slot overflows into the next.
-Every other product multiplies term pair by term pair and lists its
-terms in first-occurrence order over the pairs, the shorter operand
-outer.
+Every other product is one pair loop: for each term of the shorter
+operand it walks the terms of the longer one whose u-orders sum below
+m, and it lists the output terms in first-occurrence order over those
+pairs.
 """
 
 from __future__ import annotations
@@ -257,9 +258,9 @@ class RingElem(_Frozen):
 
     def __mul__(self, other: "RingElem") -> "RingElem":
         # Packed products (see the module docstring) list their terms in
-        # increasing (i, l) order; the others in first-occurrence order
-        # over the term pairs, the shorter operand outer.  Every path ends
-        # in _normal.
+        # increasing (i, l) order; the others come from one pair loop, in
+        # first-occurrence order over the term pairs, the shorter operand
+        # outer.  Every path ends in _normal.
         self._check_same(other)
         params = self.params
         a, b, da, db = self.nums, other.nums, self.den, other.den
@@ -278,21 +279,15 @@ class RingElem(_Frozen):
             nums = _packed_product(a, b, m)
             if nums is not None:
                 return _normal(params, d, nums)
-        # Keys are encoded as l*m + i, and b's terms are filtered once per
-        # u-order cap, so the pair loop neither builds tuples nor tests i.
-        acc: dict[int, int] = {}
+        acc: dict[tuple[int, int], int] = {}
         get = acc.get
-        capped: dict[int, list] = {}
         for (l1, i1), n1 in a.items():
             cap = m - i1
-            row = capped.get(cap)
-            if row is None:
-                row = capped[cap] = [(l2 * m + i2, n2) for (l2, i2), n2 in b.items() if i2 < cap]
-            k1 = l1 * m + i1
-            for k2, n2 in row:
-                key = k1 + k2
-                acc[key] = get(key, 0) + n1 * n2
-        return _normal(params, d, {divmod(key, m): n for key, n in acc.items() if n})
+            for (l2, i2), n2 in b.items():
+                if i2 < cap:
+                    key = (l1 + l2, i1 + i2)
+                    acc[key] = get(key, 0) + n1 * n2
+        return _normal(params, d, {key: n for key, n in acc.items() if n})
 
     def scale(self, coeff) -> "RingElem":
         c0 = _as_fraction(coeff)
@@ -417,9 +412,12 @@ def _combine(x: RingElem, y: RingElem, sign: int) -> RingElem:
     """x + sign*y, merged into x's term order, cancellations dropped.
 
     The numerators are taken over lcm(dx, dy) and end in ``_normal``.
+    A zero summand gives the other one (negated for 0 - y), canonical already.
     """
     if not y.nums:
         return x
+    if not x.nums:
+        return y if sign == 1 else -y
     dx, dy = x.den, y.den
     g = gcd(dx, dy)
     fx, fy = dy // g, dx // g * sign

@@ -502,6 +502,15 @@ def test_verify_groupoid_smoke():
     assert report["families"]["roundtrip"]["passed"] == 60
 
 
+@pytest.mark.parametrize("k,j,m", [(1, 4, 6), (1, 6, 8), (2, 8, 10), (1, 10, 12)])
+def test_verify_groupoid_on_the_ladder_rungs(k, j, m):
+    # The sampled laws beyond m <= 4, every sample with the truncation check.
+    report = verify_groupoid(params_of(k, j, m), 25, 100 * k + 10 * j + m, truncation_samples=25)
+    assert report["all_passed"]
+    assert len(report["families"]) == 8
+    assert all(fam["checked"] == 25 for fam in report["families"].values())
+
+
 def test_verify_groupoid_degenerate_band():
     # Empty band: only p = 0; all laws hold trivially but are still run.
     report = verify_groupoid(params_of(3, 1, 3), 25, 1)

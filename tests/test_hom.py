@@ -543,7 +543,8 @@ def test_hom_regressions_match_brute_force(name):
     assert hom_ext_dims(p, p).dim_hom == brute_force_hom(p, p)[0] == dim
 
 
-@pytest.mark.parametrize("k,j,m", [(1, 2, 3), (1, 3, 4), (1, 4, 6), (2, 4, 3), (1, 6, 8)])
+@pytest.mark.parametrize("k,j,m", [(1, 2, 3), (1, 3, 4), (1, 4, 6), (2, 4, 3), (1, 6, 8),
+                                   (2, 8, 10)])
 def test_dense_brute_force_matches_filtration(k, j, m):
     # Every band coefficient and every section of g nonzero.
     params = params_of(k, j, m)

@@ -500,6 +500,22 @@ def test_sum_denominator_cancels():
     assert (y.den, y.nums) == (1, {(0, 0): 1})
 
 
+def test_a_zero_summand_gives_the_other_summand():
+    # Zero has den 1, so zero + y and zero - y are y and -y in den, nums and
+    # key order, with y's terms fewer and more than _PACK_PAIRS.
+    rng = random.Random(30)
+    params = RingParams(2, 4)
+    zero = RingElem.zero(params)
+    for nterms in (6, _PACK_PAIRS + 8):
+        y = exact_elem(rng, params, nterms, 10 ** 6, (-40, 40))
+        assert y.den > 1 and len(y.nums) == nterms
+        for got, want, sign in ((zero + y, y, 1), (zero - y, -y, -1)):
+            assert_canonical(got)
+            assert (got.den, list(got.nums.items())) == (want.den, list(want.nums.items()))
+            assert list(got.terms.items()) == list(_reference_combine(zero, y, sign).items())
+        assert y + zero is y and y - zero is y
+
+
 def test_projections_drop_the_only_term_carrying_a_prime_of_den():
     # x = z^3 / 2 + z u^2 / 3 over den 6; each projection keeps one term.
     params = RingParams(1, 3)
