@@ -58,26 +58,18 @@ def _band_entries(band: list[tuple[int, range]], w: list[dict[int, int]],
     z^(l+dl) u^(i+di) is a band monomial.
 
     band[i] is the first row and the z-exponents of the band at u-order
-    i.  Each u-order is read from the smaller side: the terms of w there,
-    or the band slice they shift into.
+    i.  Each u-order of w that has terms is read at the band slice its
+    shift lands in, in increasing row order.
     """
     out = []
     for i in range(len(band) - di):
         wi = w[i]
-        first, ls = band[i + di]
-        if not wi or not ls:
-            continue
-        lo, hi = ls.start - dl, ls.stop - dl
-        off = first - lo
-        if len(wi) <= len(ls):
-            for l, n in wi.items():
-                if lo <= l < hi and n:
-                    out.append((off + l, n))
-        else:
-            for l in range(lo, hi):
-                n = wi.get(l)
+        if wi:
+            first, ls = band[i + di]
+            for r, l in enumerate(ls, first):
+                n = wi.get(l - dl)
                 if n:
-                    out.append((off + l, n))
+                    out.append((r, n))
     return out
 
 

@@ -14,11 +14,12 @@ from fractions import Fraction
 
 import pytest
 
-from negcurve.extensions import ExtClass, ModuliParams, basis_W
+from negcurve.extensions import ExtClass, basis_W
 from negcurve.groupoid import sample_ext_class, substream, verify_groupoid
 from negcurve.homspaces import brute_force_hom, hom_ext_dims, isom_decide
 from negcurve.ring import RingElem, RingParams
 from negcurve.sections import cone_check, h0_dim, h1_dim
+from helpers import params_of, to_vector
 
 GRID = [(k, j, m) for k in (1, 2, 3) for j in (1, 2, 3) for m in (2, 3, 4)
         if (2 * j - 2) // k >= 1]
@@ -26,15 +27,6 @@ WORKERS = min(2, os.cpu_count() or 1)
 SEED = 20240801
 SWEEP_SAMPLES = 1000
 SWEEP_TRUNCATION = 500
-
-
-def params_of(k, j, m):
-    return ModuliParams(RingParams(k, m), j)
-
-
-def to_vector(p):
-    """The coefficients of p in basis_W order."""
-    return [p.p.coeff(l, i) for (i, l) in basis_W(p.params)]
 
 
 def report_line(number, name, ok, detail=""):

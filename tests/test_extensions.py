@@ -6,23 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from negcurve.extensions import (ExtClass, Mat2, ModuliParams, basis_W, reduce_cocycle,
-                                 restrict_level)
-from negcurve.ring import RingElem, RingParams
-
-
-def params_of(k, j, m):
-    return ModuliParams(RingParams(k, m), j)
-
-
-def ext1_band(params):
-    """Band monomials (i, l) of Ext^1(O(j), O(-j)) over all u-orders, i = 0 included."""
-    return [(i, l) for i in range(params.m) for l in params.band_rows(i)]
-
-
-def to_vector(p):
-    """The coefficients of p in basis_W order."""
-    return [p.p.coeff(l, i) for (i, l) in basis_W(p.params)]
+from negcurve.extensions import ExtClass, Mat2, basis_W, reduce_cocycle, restrict_level
+from negcurve.ring import RingElem
+from helpers import ext1_band, params_of, to_vector
 
 
 def enumerate_band(k, j, m, include_zero_layer=False):

@@ -12,11 +12,8 @@ from negcurve.groupoid import (CocyclePair, GroupElem, act, cech_parts, cocycle_
                                sample_ext_class, sample_group_elem, substream, verify_groupoid)
 from negcurve.ring import RingElem, RingParams, invert_unit, plus_part, sector_split
 from negcurve.sections import h0_basis
+from helpers import diagonal, params_of, to_vector
 from test_acceptance import GRID
-
-
-def params_of(k, j, m):
-    return ModuliParams(RingParams(k, m), j)
 
 
 MP = params_of(1, 2, 3)
@@ -24,18 +21,6 @@ MP = params_of(1, 2, 3)
 
 def gelem(params, a, b, c, d):
     return GroupElem.from_reps(params, a, b, c, d)
-
-
-def diagonal(params, lam, mu):
-    """The diagonal automorphism (lam, 0; 0, mu) with constant entries."""
-    ring = params.ring
-    return gelem(params, RingElem.constant(ring, lam), RingElem.zero(ring),
-                 RingElem.zero(ring), RingElem.constant(ring, mu))
-
-
-def to_vector(p):
-    """The coefficients of p in basis_W order."""
-    return [p.p.coeff(l, i) for (i, l) in basis_W(p.params)]
 
 
 def mobius_series(g, p):

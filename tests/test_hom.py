@@ -2,26 +2,23 @@
 
 from fractions import Fraction
 from itertools import chain, product
-from math import comb
+from math import comb, lcm
 
 import pytest
 
 from negcurve import linalg
-from negcurve.extensions import ExtClass, Mat2, ModuliParams, basis_W
+from negcurve.extensions import ExtClass, Mat2, basis_W
 from negcurve.groupoid import (CocyclePair, GroupElem, _residual, act, cocycle_matrices,
                                extract_group_elem, induced_inverse, induced_product,
                                sample_ext_class, sample_group_elem, substream)
 from negcurve.homspaces import (_band_layout, brute_force_hom, build_linear_system,
                                 default_degree_bound, hom_ext_dims, isom_decide,
                                 spectral_differentials)
-from negcurve.ring import RingElem, RingParams, sector_split
+from negcurve.ring import RingElem, sector_split
 from negcurve.sections import h0_basis, h0_dim, h1_dim
+from helpers import diagonal, ext1_band, params_of, to_vector
 from test_acceptance import GRID
 from test_linalg import integer_rows
-
-
-def params_of(k, j, m):
-    return ModuliParams(RingParams(k, m), j)
 
 
 MP = params_of(1, 2, 3)
@@ -31,24 +28,11 @@ def ec(vec, params=MP):
     return ExtClass.from_vector(params, vec)
 
 
-def ext1_band(params):
-    """The band monomials (i, l) over all u-orders, i = 0 included: the
-    row order of build_linear_system."""
-    return [(i, l) for i in range(params.m) for l in params.band_rows(i)]
-
-
 def unit_columns(params):
     """The columns of a(0,0) and d(0,0) in build_linear_system's layout."""
     basis0, _ = _band_layout(params)
     a00 = basis0.index((0, 0))
     return a00, len(basis0) + a00
-
-
-def diagonal(params, lam, mu):
-    """The diagonal automorphism (lam, 0; 0, mu) with constant entries."""
-    ring = params.ring
-    return GroupElem.from_reps(params, RingElem.constant(ring, lam), RingElem.zero(ring),
-                               RingElem.zero(ring), RingElem.constant(ring, mu))
 
 
 # -- the gluing residual -------------------------------------------------------
@@ -497,6 +481,122 @@ def test_profile_is_orbit_invariant():
         assert hom_ext_dims(p, p) == hom_ext_dims(q, q)
 
 
+
+# -- Ext^1 by two-open Cech cohomology -------------------------------------------
+
+def cech_ext1_rows(p, q):
+    """The Cech system of Ext^1(E_p, E_q) over the cover by the two charts,
+    and its number of columns.
+
+    Ext^1 is H^1 of the Hom bundle (Hartshorne, Algebraic Geometry, III.4):
+    in the first chart's frame, M2(R_UV) / (M2(R_U) + T(q)^-1 M2(R_V) T(p)),
+    with T(q)^-1 = (z^-j, -q; 0, z^j).  Modulo M2(R_U) only the monomials
+    with l < 0 remain.  Conjugation moves z-degrees by at most 2j, so each
+    matrix monomial X with l < -2j is T(q)^-1 B T(p) for the v-regular
+    B = T(q) X T(p)^-1.  What is left is the window -2j <= l <= -1: 8jm
+    columns (entry, z^l u^i).  There is one row per v-regular matrix
+    monomial B = z^l u^i E_e with -4j <= l <= k*i, the window part of
+    T(q)^-1 B T(p) in integers; a B with l < -4j lands below the window.
+    So dim Ext^1 = 8jm - rank.
+    """
+    params = p.params
+    ring, j, k, m = params.ring, params.j, params.k, params.m
+    zero = RingElem.zero(ring)
+    t_q_inv = Mat2(RingElem.monomial(ring, -j, 0), -q.p, zero, RingElem.monomial(ring, j, 0))
+    t_p = p.transition()
+    window = [(x, l, i) for x in range(4) for l in range(-2 * j, 0) for i in range(m)]
+    column = {mono: c for c, mono in enumerate(window)}
+    rows = []
+    for e in range(4):
+        unit = [zero] * 4
+        unit[e] = RingElem.one(ring)
+        entries = (t_q_inv * Mat2(*unit) * t_p).entries()
+        den = lcm(*(entry.den for entry in entries))
+        scaled = [(x, entry.nums.items(), den // entry.den) for x, entry in enumerate(entries)]
+        for i in range(m):
+            for l in range(-4 * j, k * i + 1):
+                row = {}
+                for x, nums, scale in scaled:
+                    for (ll, ii), n in nums:
+                        c = column.get((x, ll + l, ii + i))
+                        if c is not None:
+                            row[c] = scale * n
+                if row:
+                    rows.append(row)
+    return rows, len(window)
+
+
+def cech_ext1(p, q):
+    rows, ncols = cech_ext1_rows(p, q)
+    return ncols - len(linalg.echelon(rows))
+
+
+def test_ext1_matches_cech_count():
+    """hom_ext_dims reads Ext^1 off the four-term sequence; the Cech count
+    computes it with neither the band system nor the filtration."""
+    tuples = [(k, j, m) for k in (1, 2, 3) for j in (1, 2, 3) for m in (1, 2, 3, 4)]
+    values = set()
+    for (k, j, m) in tuples + [(1, 4, 6), (1, 6, 8), (2, 8, 10)]:
+        params = params_of(k, j, m)
+        for idx, terms in enumerate((3, 10 ** 6)):
+            rng = substream(31, 100 * k + 10 * j + m + 1000 * idx)
+            p = sample_ext_class(params, rng, max_terms=terms)
+            q = sample_ext_class(params, rng, max_terms=terms)
+            g = sample_group_elem(params, rng, max_terms=terms)
+            for target in (p, act(g, p), q):
+                ext1 = hom_ext_dims(p, target).dim_ext1
+                assert cech_ext1(p, target) == ext1, (k, j, m, idx)
+                # E^v = E for rank 2 with trivial determinant, so Ext^1 is symmetric.
+                assert hom_ext_dims(target, p).dim_ext1 == ext1
+                values.add(ext1)
+    assert len(values) > 10
+
+
+def test_cech_rank_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    for (k, j, m) in [(1, 2, 3), (2, 3, 4), (1, 3, 4)]:
+        params = params_of(k, j, m)
+        rng = substream(32, 100 * k + 10 * j + m)
+        p = sample_ext_class(params, rng, max_terms=10 ** 6)
+        q = sample_ext_class(params, rng, max_terms=10 ** 6)
+        for target in (p, q):
+            rows, ncols = cech_ext1_rows(p, target)
+            dense = [[sympy.ZZ(row.get(c, 0)) for c in range(ncols)] for row in rows]
+            rank = DomainMatrix(dense, (len(rows), ncols), sympy.ZZ).rank()
+            assert rank == len(linalg.echelon(rows))
+            assert ncols - rank == hom_ext_dims(p, target).dim_ext1
+            assert cech_ext1(target, p) == ncols - rank
+
+
+def test_profile_is_level_stable():
+    """Past m0 = (2j - 2) // k + 2 the band stops growing, so the band system at
+    m is the one at m0 plus empty columns: with p and q keeping their
+    coefficients, (dim End(split) - dim Hom, dim Ext^1) does not move with m."""
+    profiles = set()
+    for k in (1, 2, 3):
+        for j in (1, 2, 3, 4):
+            m0 = (2 * j - 2) // k + 2
+            base = params_of(k, j, m0)
+            for idx, terms in enumerate((3, 10 ** 6, 10 ** 6)):
+                rng = substream(37, 100 * k + 10 * j + idx)
+                p = sample_ext_class(base, rng, max_terms=terms)
+                q = (act(sample_group_elem(base, rng, max_terms=terms), p) if idx == 2
+                     else sample_ext_class(base, rng, max_terms=terms))
+                seen = set()
+                for m in range(m0, m0 + 4):
+                    params = params_of(k, j, m)
+                    ring = params.ring
+                    profile = hom_ext_dims(*(ExtClass(params, RingElem(ring, x.p.terms))
+                                             for x in (p, q)))
+                    end_split = (2 * h0_dim(0, ring) + h0_dim(2 * j, ring)
+                                 + h0_dim(-2 * j, ring))
+                    seen.add((end_split - profile.dim_hom, profile.dim_ext1))
+                assert len(seen) == 1, (k, j, idx)
+                profiles |= seen
+    assert len(profiles) > 10
+
 # -- brute-force oracle -----------------------------------------------------------
 
 def test_brute_force_split_anchor():
@@ -901,10 +1001,6 @@ def lagrange_derivative_weights(n):
     """
     return ([-sum(Fraction(1, s) for s in range(1, n + 1))]
             + [Fraction((-1) ** (t + 1) * comb(n, t), t) for t in range(1, n + 1)])
-
-
-def to_vector(p):
-    return [p.p.coeff(l, i) for (i, l) in basis_W(p.params)]
 
 
 def action_differential_columns(p):

@@ -1,26 +1,28 @@
 """The package's public surface: the paper's objects and operations, and no dead imports."""
 
 import ast
+import io
 import os
 import subprocess
 import sys
+import tokenize
 from collections import Counter
 from pathlib import Path
 
 import negcurve
 
 PUBLIC = {
-    "ConsistencyError", "RingElem", "RingParams", "invert_unit", "sector_split", "truncate",
+    "ConsistencyError", "RingElem", "RingParams",
     "TwistedSection", "cone_check", "h0_basis", "h0_dim", "h1_dim",
     "ExtClass", "Mat2", "ModuliParams", "basis_W", "reduce_cocycle", "restrict_level",
     "CocyclePair", "GroupElem", "act", "cocycle_matrices", "induced_inverse",
-    "induced_product", "sample_ext_class", "sample_group_elem", "verify_groupoid",
+    "induced_product", "verify_groupoid",
     "HomProfile", "brute_force_hom", "hom_ext_dims", "isom_decide",
 }
 
 
 def test_all_is_exactly_the_public_names():
-    assert len(PUBLIC) == 30
+    assert len(PUBLIC) == 25
     assert len(negcurve.__all__) == len(PUBLIC)
     assert set(negcurve.__all__) == PUBLIC
     for name in negcurve.__all__:
@@ -169,3 +171,37 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     added = loaded_modules("import negcurve, negcurve.cli") - loaded_modules("pass")
     assert "negcurve.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+# ROADMAP aim 2's size of src/negcurve: all lines, and the code lines among them.
+SRC_LINES = 2027
+SRC_CODE_LINES = 1133
+
+
+def line_counts(path: Path) -> tuple[int, int]:
+    """The lines of a module, and those that hold code: a token other than a
+    comment or layout, outside the module, class and function docstrings."""
+    text = path.read_text()
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0]
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+              tokenize.ENDMARKER}
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in layout:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(text.splitlines()), len(code - docstrings)
+
+
+def test_source_size_is_the_roadmap_count():
+    """A change to src/negcurve updates these two constants, and ROADMAP
+    aim 2 quotes them."""
+    root = Path(__file__).resolve().parent.parent
+    counts = [line_counts(path) for path in sorted((root / "src" / "negcurve").glob("*.py"))]
+    assert sum(lines for lines, _ in counts) == SRC_LINES
+    assert sum(code for _, code in counts) == SRC_CODE_LINES
